@@ -108,6 +108,9 @@ def _parse_inputs(text: str | None) -> dict[int, int]:
 
 def _cmd_exec(args) -> int:
     g = graphio.load(args.input)
+    findings = verify(g)
+    if findings:
+        raise VerificationError(findings, "before exec")
     result = execute(g, _parse_inputs(args.inputs), max_steps=args.max_steps)
     if result.trapped is not None:
         print(f"trap: {result.trapped}")

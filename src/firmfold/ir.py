@@ -24,6 +24,11 @@ from .errors import GraphError, NoBlockError
 
 
 class NodeKind(Enum):
+    # Members compare by identity, so the identity hash agrees with ==; it
+    # runs in C, unlike Enum.__hash__. It must be set here, in the class
+    # body: every frozenset and dict of kinds below is keyed by it.
+    __hash__ = object.__hash__
+
     # structural
     BLOCK = "Block"
     START = "Start"
@@ -78,6 +83,8 @@ class NodeKind(Enum):
 
 
 class EdgeKind(Enum):
+    __hash__ = object.__hash__  # see NodeKind
+
     DATAFLOW = "Dataflow"
     CONTROLFLOW = "Controlflow"
     TRUE = "True"
@@ -86,6 +93,8 @@ class EdgeKind(Enum):
 
 
 class Relation(Enum):
+    __hash__ = object.__hash__  # see NodeKind
+
     EQUAL = "Equal"
     NOT_EQUAL = "NotEqual"
     LESS = "Less"
@@ -201,22 +210,6 @@ CONTROL_EDGE_KINDS = frozenset({EdgeKind.CONTROLFLOW, EdgeKind.TRUE, EdgeKind.FA
 ANCHOR_KINDS = frozenset({K.BLOCK, K.START, K.END})
 
 del _k, K
-
-
-def is_binary(kind: NodeKind) -> bool:
-    return kind in BINARY_KINDS
-
-
-def is_commutative(kind: NodeKind) -> bool:
-    return kind in COMMUTATIVE_KINDS
-
-
-def is_target(kind: NodeKind) -> bool:
-    return kind in TARGET_KINDS
-
-
-def is_control_transfer(kind: NodeKind) -> bool:
-    return kind in CONTROL_TRANSFER_KINDS
 
 
 class Node:

@@ -3,6 +3,16 @@
 verify() never mutates and never raises on representable graphs; it
 returns every finding as data so callers can render or count them. Each
 rule has a stable id (V1..V10) that tests and the CLI key off.
+
+verify() is one pass over the nodes, reading FirmGraph's incidence tables
+directly. It reads each node's outgoing edges once (and a Cond's incoming
+ones, for V5) and settles the per-node rules V1-V3, V5, V8 and V10 on the
+spot. What the block-level rules need (Phi operand positions, each node's
+control-predecessor positions, each block's control transfers) is
+collected on the way, and V4, V6 and V7 are settled after the walk. V9
+checks the function anchors last. Findings come ordered by rule, V1
+first, and within a rule by node id (the node table's order, which is
+ascending for every graph built through FirmGraph or saved by graphio).
 """
 
 from __future__ import annotations
@@ -32,147 +42,215 @@ class Violation:
     message: str
 
 
-def _pos(e) -> int:
-    return -1 if e.position is None else e.position
+# Role bits: what the walk must do for a kind beyond the per-node rules.
+_TRANSFER, _PHI, _COND, _START, _END = 1, 2, 4, 8, 16
+
+
+def _kind_facts(kind: NodeKind) -> tuple:
+    """(arity or None, role bits, value legal, relation legal, volatile legal)."""
+    role = 0
+    if kind in CONTROL_TRANSFER_KINDS:
+        role |= _TRANSFER
+    if kind in (NodeKind.PHI, NodeKind.TARGET_PHI):
+        role |= _PHI
+    if kind in (NodeKind.COND, NodeKind.TARGET_COND):
+        role |= _COND
+    if kind is NodeKind.START:
+        role |= _START
+    if kind is NodeKind.END:
+        role |= _END
+    return (
+        ARITY.get(kind),
+        role,
+        kind in VALUE_KINDS,
+        kind in RELATION_KINDS,
+        kind in MEMORY_KINDS,
+    )
+
+
+_FACTS = {kind: _kind_facts(kind) for kind in NodeKind}
+
+# Most nodes list their operands in position order; a prefix of this list
+# settles V2 for them without a call.
+_IN_ORDER = [0, 1]
+
+
+def _dense(poss: list) -> bool:
+    """Whether raw positions are 0..n-1 in some order (None counts as -1)."""
+    if poss == list(range(len(poss))):
+        return True
+    return _sorted_pos(poss) == list(range(len(poss)))
+
+
+def _sorted_pos(poss) -> list[int]:
+    return sorted(-1 if p is None else p for p in poss)
 
 
 def verify(g: FirmGraph) -> list[Violation]:
     """Run every structural rule; an empty list means the graph is clean."""
-    out: list[Violation] = []
+    v1, v2, v3, v5, v8, v10 = [], [], [], [], [], []
+    nodes = g._nodes
+    outs = g._out
+    dataflow = EdgeKind.DATAFLOW
+    blockedge = EdgeKind.BLOCK
+    block_kind = NodeKind.BLOCK
+    facts = _FACTS
+    phis = []  # (phi id, its first containing block, operand positions)
+    ctrl_pos: dict[int, list] = {}  # node -> positions of its control edges
+    transfers: dict[int, list[int]] = {}  # block -> control transfers in it
+    blocks = []
+    starts = []
+    ends = []
 
-    # V1: every non-Block node lives in exactly one block.
-    for nid, n in g.items():
-        if n.kind is NodeKind.BLOCK:
-            continue
-        count = sum(1 for e in g.out_edges(nid) if e.kind is EdgeKind.BLOCK)
-        if count != 1:
-            out.append(
+    for nid, n in nodes.items():
+        kind = n.kind
+        arity, role, value_ok, relation_ok, volatile_ok = facts[kind]
+        poss = []
+        homes = 0
+        home = None
+        ctrl = None
+        for e in outs[nid]:
+            ek = e.kind
+            if ek is dataflow:
+                poss.append(e.position)
+            elif ek is blockedge:
+                if homes == 0:
+                    home = e.dst
+                homes += 1
+                if role & _TRANSFER:
+                    transfers.setdefault(e.dst, []).append(nid)
+            elif ctrl is None:
+                ctrl = [e.position]
+            else:
+                ctrl.append(e.position)
+            # V10: no edge may reference a missing node.
+            if e.dst not in nodes or e.src not in nodes:
+                v10.append(
+                    Violation("V10", (e.src, e.dst), f"edge {e!r} references a missing node")
+                )
+
+        # V1: every non-Block node lives in exactly one block.
+        if kind is block_kind:
+            blocks.append(nid)
+        elif homes != 1:
+            v1.append(
                 Violation(
                     "V1",
                     (nid,),
-                    f"node {nid} ({n.kind.value}) has {count} containing blocks, expected 1",
+                    f"node {nid} ({kind.value}) has {homes} containing blocks, expected 1",
                 )
             )
+        if ctrl is not None:
+            ctrl_pos[nid] = ctrl
 
-    # V2: operand positions are 0..n-1 with no duplicates.
-    for nid, n in g.items():
-        poss = sorted(_pos(e) for e in g.out_edges(nid, EdgeKind.DATAFLOW))
-        if poss and poss != list(range(len(poss))):
-            out.append(
+        # V2: operand positions are 0..n-1 with no duplicates.
+        count = len(poss)
+        if count and poss != _IN_ORDER[:count] and not _dense(poss):
+            v2.append(
                 Violation(
                     "V2",
                     (nid,),
-                    f"node {nid} ({n.kind.value}) has operand positions {poss}",
+                    f"node {nid} ({kind.value}) has operand positions {_sorted_pos(poss)}",
                 )
             )
 
-    # V3: operand count matches the kind's arity.
-    for nid, n in g.items():
-        expected = ARITY.get(n.kind)
-        count = len(g.out_edges(nid, EdgeKind.DATAFLOW))
-        if expected is None:
+        # V3: operand count matches the kind's arity.
+        if arity is None:
             if count < 1:
-                out.append(
-                    Violation(
-                        "V3", (nid,), f"{n.kind.value} node {nid} needs at least one operand"
-                    )
+                v3.append(
+                    Violation("V3", (nid,), f"{kind.value} node {nid} needs at least one operand")
                 )
-        elif count != expected:
-            out.append(
+        elif count != arity:
+            v3.append(
                 Violation(
                     "V3",
                     (nid,),
-                    f"{n.kind.value} node {nid} has {count} operands, expected {expected}",
+                    f"{kind.value} node {nid} has {count} operands, expected {arity}",
                 )
+            )
+
+        if role:
+            if role & _PHI and homes:
+                phis.append((nid, home, poss))
+            elif role & _START:
+                starts.append(nid)
+            elif role & _END:
+                ends.append(nid)
+            elif role & _COND:
+                # V5: every Cond has exactly one True and one False successor edge.
+                t = f = 0
+                for e in g._in[nid]:
+                    if e.kind is EdgeKind.TRUE:
+                        t += 1
+                    elif e.kind is EdgeKind.FALSE:
+                        f += 1
+                if t != 1 or f != 1:
+                    v5.append(
+                        Violation(
+                            "V5", (nid,), f"{kind.value} node {nid} has {t} True and {f} False edges"
+                        )
+                    )
+
+        # V8: attributes appear exactly on the kinds that may carry them.
+        value = n.value
+        if (value is not None) != value_ok:
+            what = "missing" if value is None else "stray"
+            v8.append(Violation("V8", (nid,), f"{what} value attribute on {kind.value} node {nid}"))
+        elif value is not None and not (INT32_MIN <= value <= INT32_MAX):
+            v8.append(Violation("V8", (nid,), f"value {value} on node {nid} outside 32-bit range"))
+        if (n.relation is not None) != relation_ok:
+            what = "missing" if n.relation is None else "stray"
+            v8.append(
+                Violation("V8", (nid,), f"{what} relation attribute on {kind.value} node {nid}")
+            )
+        if (n.volatile is not None) != volatile_ok:
+            what = "missing" if n.volatile is None else "stray"
+            v8.append(
+                Violation("V8", (nid,), f"{what} volatile attribute on {kind.value} node {nid}")
             )
 
     # V4: Phi operand positions match the block's predecessor positions.
-    for nid, n in g.items():
-        if n.kind not in (NodeKind.PHI, NodeKind.TARGET_PHI):
-            continue
-        try:
-            block = g.block_of(nid)
-        except NoBlockError:
-            continue  # V1 reports the missing block
-        pred_pos = {_pos(e) for e in g.control_in_edges(block)}
-        op_pos = {_pos(e) for e in g.out_edges(nid, EdgeKind.DATAFLOW)}
+    v4 = []
+    for nid, home, poss in phis:
+        pred_pos = set(_sorted_pos(ctrl_pos.get(home, ())))
+        op_pos = set(_sorted_pos(poss))
         if op_pos != pred_pos:
-            out.append(
+            v4.append(
                 Violation(
                     "V4",
                     (nid,),
-                    f"{n.kind.value} node {nid} covers positions {sorted(op_pos)} "
-                    f"but block {block} has predecessors at {sorted(pred_pos)}",
-                )
-            )
-
-    # V5: every Cond has exactly one True and one False successor edge.
-    for nid, n in g.items():
-        if n.kind not in (NodeKind.COND, NodeKind.TARGET_COND):
-            continue
-        t = len(g.in_edges(nid, EdgeKind.TRUE))
-        f = len(g.in_edges(nid, EdgeKind.FALSE))
-        if t != 1 or f != 1:
-            out.append(
-                Violation(
-                    "V5",
-                    (nid,),
-                    f"{n.kind.value} node {nid} has {t} True and {f} False edges",
+                    f"{nodes[nid].kind.value} node {nid} covers positions {sorted(op_pos)} "
+                    f"but block {home} has predecessors at {sorted(pred_pos)}",
                 )
             )
 
     # V6: at most one control transfer per block.
-    for nid, n in g.items():
-        if n.kind is not NodeKind.BLOCK:
-            continue
-        transfers = [
-            m for m in g.members_of(nid) if g.node(m).kind in CONTROL_TRANSFER_KINDS
-        ]
-        if len(transfers) > 1:
-            out.append(
+    # V7: control predecessor positions are 0..k-1 with no duplicates.
+    v6, v7 = [], []
+    for nid in blocks:
+        members = transfers.get(nid)
+        if members is not None and len(members) > 1:
+            members.sort()
+            v6.append(
                 Violation(
                     "V6",
-                    tuple(transfers),
-                    f"block {nid} contains {len(transfers)} control transfers",
+                    tuple(members),
+                    f"block {nid} contains {len(members)} control transfers",
                 )
             )
-
-    # V7: control predecessor positions are 0..k-1 with no duplicates.
-    for nid, n in g.items():
-        if n.kind is not NodeKind.BLOCK:
-            continue
-        poss = sorted(_pos(e) for e in g.control_in_edges(nid))
-        if poss and poss != list(range(len(poss))):
-            out.append(
-                Violation(
-                    "V7", (nid,), f"block {nid} has predecessor positions {poss}"
-                )
+        poss = ctrl_pos.get(nid)
+        if poss is not None and not _dense(poss):
+            v7.append(
+                Violation("V7", (nid,), f"block {nid} has predecessor positions {_sorted_pos(poss)}")
             )
 
-    # V8: attributes appear exactly on the kinds that may carry them.
-    for nid, n in g.items():
-        kv = n.kind.value
-        if (n.value is not None) != (n.kind in VALUE_KINDS):
-            what = "missing" if n.value is None else "stray"
-            out.append(Violation("V8", (nid,), f"{what} value attribute on {kv} node {nid}"))
-        elif n.value is not None and not (INT32_MIN <= n.value <= INT32_MAX):
-            out.append(
-                Violation("V8", (nid,), f"value {n.value} on node {nid} outside 32-bit range")
-            )
-        if (n.relation is not None) != (n.kind in RELATION_KINDS):
-            what = "missing" if n.relation is None else "stray"
-            out.append(
-                Violation("V8", (nid,), f"{what} relation attribute on {kv} node {nid}")
-            )
-        if (n.volatile is not None) != (n.kind in MEMORY_KINDS):
-            what = "missing" if n.volatile is None else "stray"
-            out.append(
-                Violation("V8", (nid,), f"{what} volatile attribute on {kv} node {nid}")
-            )
+    return v1 + v2 + v3 + v4 + v5 + v6 + v7 + v8 + _verify_anchors(g, starts, ends) + v10
 
-    # V9: function anchors.
-    starts = [nid for nid, n in g.items() if n.kind is NodeKind.START]
-    ends = [nid for nid, n in g.items() if n.kind is NodeKind.END]
+
+def _verify_anchors(g: FirmGraph, starts: list[int], ends: list[int]) -> list[Violation]:
+    """V9: one Start in the start block, one End in the end block, and a
+    start block that no control edge enters."""
+    out: list[Violation] = []
     if len(starts) != 1:
         out.append(
             Violation("V9", tuple(starts), f"expected exactly one Start, found {len(starts)}")
@@ -223,14 +301,6 @@ def verify(g: FirmGraph) -> list[Violation]:
                 f"start block {g.start_block} has control predecessors",
             )
         )
-
-    # V10: no edge may reference a missing node.
-    for e in g.edges():
-        if e.src not in g or e.dst not in g:
-            out.append(
-                Violation("V10", (e.src, e.dst), f"edge {e!r} references a missing node")
-            )
-
     return out
 
 

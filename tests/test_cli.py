@@ -3,10 +3,10 @@
 import json
 import subprocess
 
-from conftest import build_diamond, build_div_graph
+from conftest import build_diamond, build_div_graph, finish_return, func_graph
 from firmfold.cli import main
 from firmfold.graphio import load, save
-from firmfold.ir import NodeKind, TARGET_KINDS
+from firmfold.ir import EdgeKind, NodeKind, TARGET_KINDS
 from firmfold.isel import run_instruction_selection
 
 
@@ -125,6 +125,22 @@ def test_exec_step_budget(tmp_path, capsys):
     src = _gen(tmp_path, "g.json", "--inputs", "0")
     assert main(["exec", str(src), "--max-steps", "1"]) == 0
     assert capsys.readouterr().out.strip() == "trap: step-limit"
+
+
+def test_exec_verifies_first(tmp_path, capsys):
+    g, entry, _ = func_graph()
+    c = g.add_node(NodeKind.CONST, value=1, block=entry)
+    add = g.add_node(NodeKind.ADD, block=entry)
+    g.add_edge(add, c, EdgeKind.DATAFLOW, 0)
+    finish_return(g, entry, add)
+    src = tmp_path / "one_operand_add.json"
+    save(g, src)
+    assert main(["exec", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: before exec\n")
+    assert f"V3\t[{add}]\tAdd node {add} has 1 operands, expected 2" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_exec_rejects_malformed_inputs(tmp_path, capsys):

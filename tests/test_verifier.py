@@ -1,6 +1,8 @@
 """Structural rule catalog: clean graphs stay silent, each broken graph
 trips exactly its own rule."""
 
+import random
+
 import pytest
 
 from conftest import (
@@ -8,9 +10,12 @@ from conftest import (
     build_add_graph,
     build_counting_loop,
     build_diamond,
+    sized_gen_spec,
 )
-from firmfold.graphio import generate
-from firmfold.verifier import format_violations, verify
+from firmfold.graphio import from_payload, generate, to_payload
+from firmfold.ir import ANCHOR_KINDS, Edge, EdgeKind, NodeKind
+from firmfold.verifier import Violation, format_violations, verify
+from reference_verifier import reference_verify
 
 
 def test_clean_graphs_have_no_findings():
@@ -91,3 +96,91 @@ def test_format_violations_layout():
     assert rule == "V3"
     assert ids.startswith("[") and ids.endswith("]")
     assert "operands" in message
+
+
+# -- the one-pass verifier against the rule-by-rule reference ---------------
+
+
+def _forge(g, rng, dst):
+    """An edge the public mutators would refuse, put straight into the tables."""
+    src = rng.choice(list(g.node_ids()))
+    kind = rng.choice(list(EdgeKind))
+    position = None if kind is EdgeKind.BLOCK else rng.randint(0, 3)
+    return Edge(src, dst, kind, position)
+
+
+def _corrupt(g, rng):
+    ids = list(g.node_ids())
+    choice = rng.randrange(6)
+    if choice == 0:
+        g.delete_edge(rng.choice(list(g.edges())))
+    elif choice == 1:
+        edge = rng.choice([e for e in g.edges() if e.kind is not EdgeKind.BLOCK])
+        positions = [-1, 0, 1, 2, 3, 4]
+        if edge.kind is EdgeKind.DATAFLOW:
+            # The reference sorts control positions, so only operands go None.
+            positions.append(None)
+        edge.position = rng.choice(positions)
+    elif choice == 2:
+        g.node(rng.choice(ids)).kind = rng.choice(list(NodeKind))
+    elif choice == 3:
+        victims = [nid for nid, n in g.items() if n.kind not in ANCHOR_KINDS]
+        if victims:
+            g.delete_node(rng.choice(victims))
+    elif choice == 4:
+        edge = _forge(g, rng, rng.choice(ids))
+        g._out[edge.src].append(edge)
+        g._in[edge.dst].append(edge)
+        g._edge_count += 1
+    else:
+        g.node(rng.choice(ids)).value = rng.choice([None, 2**31])
+
+
+def test_verify_matches_the_reference_on_corrupted_graphs():
+    seen_rules = set()
+    findings = 0
+    for seed in range(400):
+        rng = random.Random(31_000 + seed)
+        g = generate(seed, sized_gen_spec(rng))
+        if rng.random() < 0.25:
+            # Loading keeps the file's node order, which need not be by id.
+            payload = to_payload(g)
+            rng.shuffle(payload["nodes"])
+            g = from_payload(payload)
+        for _ in range(rng.randint(1, 4)):
+            _corrupt(g, rng)
+        if rng.random() < 0.1:
+            # A dangling edge comes last: the mutators cannot delete it.
+            edge = _forge(g, rng, 10**6)
+            g._out[edge.src].append(edge)
+        expected = reference_verify(g)
+        assert verify(g) == expected, f"seed {seed}"
+        seen_rules.update(v.rule for v in expected)
+        findings += len(expected)
+    assert seen_rules == {f"V{i}" for i in range(1, 11)}
+    assert findings > 500
+
+
+def test_verify_matches_the_reference_on_broken_graphs():
+    for g in broken_graphs().values():
+        assert verify(g) == reference_verify(g)
+
+
+def test_findings_of_a_graph_breaking_several_rules():
+    g, names = build_add_graph()
+    entry, add, ret = names["entry"], names["add"], names["ret"]
+    # A Jmp contained twice in the entry block, which already holds a Return.
+    jmp = g.add_node(NodeKind.JMP, block=entry)
+    g.add_edge(jmp, entry, EdgeKind.BLOCK)
+    g.add_edge(add, names["a"], EdgeKind.DATAFLOW, 2)
+    g.node(add).value = 5
+    g.node(names["b"]).value = 2**31
+    findings = verify(g)
+    assert findings == [
+        Violation("V1", (jmp,), f"node {jmp} (Jmp) has 2 containing blocks, expected 1"),
+        Violation("V3", (add,), f"Add node {add} has 3 operands, expected 2"),
+        Violation("V6", (ret, jmp, jmp), f"block {entry} contains 3 control transfers"),
+        Violation("V8", (names["b"],), f"value {2**31} on node {names['b']} outside 32-bit range"),
+        Violation("V8", (add,), f"stray value attribute on Add node {add}"),
+    ]
+    assert findings == reference_verify(g)
