@@ -14,24 +14,34 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, GraphError, NoBlockError
-from .ir import EdgeKind, FirmGraph, NodeKind, Relation
+from .errors import FormatError, NoBlockError
+from .ir import Edge, EdgeKind, FirmGraph, Node, NodeKind, Relation
 
 _NODE_KEYS = frozenset({"id", "kind", "value", "relation", "volatile", "block"})
 _EDGE_KEYS = frozenset({"src", "dst", "kind", "position"})
-
-
-def _int_field(ctx: str, item: dict, key: str) -> int:
-    value = item.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"{ctx}: {key!r} must be an integer")
-    return value
+_NODE_KIND_NAMED = {k.value: k for k in NodeKind}
+_EDGE_KIND_NAMED = {k.value: k for k in EdgeKind if k is not EdgeKind.BLOCK}
+_RELATION_NAMED = {r.value: r for r in Relation}
 
 
 # -- JSON ------------------------------------------------------------------
 
 
+def _bad_name(ctx: str, key: str, what: str, name) -> FormatError:
+    if not isinstance(name, str):
+        return FormatError(f"{ctx}: {key!r} must be a string")
+    return FormatError(f"{ctx}: unknown {what} {name!r}")
+
+
 def from_payload(data) -> FirmGraph:
+    """Build a graph from parsed graph JSON in one validating pass.
+
+    A FormatError names the first bad item, checking the nodes in file
+    order, then their "block" fields in node order, then the edges, then
+    "start" and "end". The node table keeps the file's order; each
+    incidence list holds the BlockEdges first, then the file's edges in
+    file order.
+    """
     if not isinstance(data, dict):
         raise FormatError("top level must be a JSON object")
     extra = set(data) - {"nodes", "edges", "start", "end"}
@@ -43,139 +53,184 @@ def from_payload(data) -> FirmGraph:
     if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
         raise FormatError("'nodes' and 'edges' must be arrays")
 
-    g = FirmGraph()
-    pending_blocks: list[tuple[str, int, int]] = []
+    block_kind = NodeKind.BLOCK
+    nodes: dict[int, Node] = {}
+    edges: list[Edge] = []
     for i, item in enumerate(data["nodes"]):
-        ctx = f"nodes[{i}]"
         if not isinstance(item, dict):
-            raise FormatError(f"{ctx}: must be an object")
-        extra = set(item) - _NODE_KEYS
-        if extra:
-            raise FormatError(f"{ctx}: unknown keys {sorted(extra)}")
-        nid = _int_field(ctx, item, "id")
-        kind_name = item.get("kind")
-        if not isinstance(kind_name, str):
-            raise FormatError(f"{ctx}: 'kind' must be a string")
+            raise FormatError(f"nodes[{i}]: must be an object")
+        if not item.keys() <= _NODE_KEYS:
+            raise FormatError(f"nodes[{i}]: unknown keys {sorted(item.keys() - _NODE_KEYS)}")
+        nid = item.get("id")
+        if type(nid) is not int:
+            raise FormatError(f"nodes[{i}]: 'id' must be an integer")
+        name = item.get("kind")
         try:
-            kind = NodeKind(kind_name)
-        except ValueError:
-            raise FormatError(f"{ctx}: unknown node kind {kind_name!r}") from None
-        value = None
+            kind = _NODE_KIND_NAMED[name]
+        except (KeyError, TypeError):
+            raise _bad_name(f"nodes[{i}]", "kind", "node kind", name) from None
+        value = relation = volatile = None
         if "value" in item:
-            value = _int_field(ctx, item, "value")
-        relation = None
+            value = item["value"]
+            if type(value) is not int:
+                raise FormatError(f"nodes[{i}]: 'value' must be an integer")
         if "relation" in item:
-            rel_name = item["relation"]
-            if not isinstance(rel_name, str):
-                raise FormatError(f"{ctx}: 'relation' must be a string")
+            name = item["relation"]
             try:
-                relation = Relation(rel_name)
-            except ValueError:
-                raise FormatError(f"{ctx}: unknown relation {rel_name!r}") from None
-        volatile = None
+                relation = _RELATION_NAMED[name]
+            except (KeyError, TypeError):
+                raise _bad_name(f"nodes[{i}]", "relation", "relation", name) from None
         if "volatile" in item:
             volatile = item["volatile"]
-            if not isinstance(volatile, bool):
-                raise FormatError(f"{ctx}: 'volatile' must be a boolean")
-        try:
-            g._raw_add_node(kind, value, relation, volatile, nid=nid)
-        except GraphError as exc:
-            raise FormatError(f"{ctx}: {exc}") from None
+            if type(volatile) is not bool:
+                raise FormatError(f"nodes[{i}]: 'volatile' must be a boolean")
+        if nid in nodes:
+            raise FormatError(f"nodes[{i}]: duplicate node id {nid}")
+        nodes[nid] = Node(kind, value, relation, volatile)
         if "block" in item:
-            pending_blocks.append((ctx, nid, _int_field(ctx, item, "block")))
+            block = item["block"]
+            if type(block) is not int:
+                raise FormatError(f"nodes[{i}]: 'block' must be an integer")
+            edges.append(Edge(nid, block, EdgeKind.BLOCK, None))
 
-    for ctx, nid, block in pending_blocks:
-        try:
-            g.add_edge(nid, block, EdgeKind.BLOCK)
-        except GraphError as exc:
-            raise FormatError(f"{ctx}: {exc}") from None
+    for e in edges:
+        target = nodes.get(e.dst)
+        if target is None or target.kind is not block_kind or nodes[e.src].kind is block_kind:
+            # Every node item made it into the table, so its rank is its index.
+            ctx = f"nodes[{list(nodes).index(e.src)}]"
+            if target is None:
+                raise FormatError(f"{ctx}: unknown node id {e.dst}")
+            if nodes[e.src].kind is block_kind:
+                raise FormatError(f"{ctx}: a Block cannot have a BlockEdge")
+            raise FormatError(f"{ctx}: BlockEdge target {e.dst} is not a Block")
 
+    dataflow = EdgeKind.DATAFLOW
     for i, item in enumerate(data["edges"]):
-        ctx = f"edges[{i}]"
         if not isinstance(item, dict):
-            raise FormatError(f"{ctx}: must be an object")
-        extra = set(item) - _EDGE_KEYS
-        if extra:
-            raise FormatError(f"{ctx}: unknown keys {sorted(extra)}")
-        src = _int_field(ctx, item, "src")
-        dst = _int_field(ctx, item, "dst")
-        kind_name = item.get("kind")
-        if not isinstance(kind_name, str):
-            raise FormatError(f"{ctx}: 'kind' must be a string")
-        if kind_name == EdgeKind.BLOCK.value:
+            raise FormatError(f"edges[{i}]: must be an object")
+        if not item.keys() <= _EDGE_KEYS:
+            raise FormatError(f"edges[{i}]: unknown keys {sorted(item.keys() - _EDGE_KEYS)}")
+        src = item.get("src")
+        if type(src) is not int:
+            raise FormatError(f"edges[{i}]: 'src' must be an integer")
+        dst = item.get("dst")
+        if type(dst) is not int:
+            raise FormatError(f"edges[{i}]: 'dst' must be an integer")
+        name = item.get("kind")
+        try:
+            kind = _EDGE_KIND_NAMED[name]
+        except (KeyError, TypeError):
+            if name == EdgeKind.BLOCK.value:
+                raise FormatError(
+                    f"edges[{i}]: containment is written as the node's 'block' field, "
+                    "not as an explicit edge"
+                ) from None
+            raise _bad_name(f"edges[{i}]", "kind", "edge kind", name) from None
+        position = item.get("position")
+        if type(position) is not int and "position" in item:
+            raise FormatError(f"edges[{i}]: 'position' must be an integer")
+        src_node = nodes.get(src)
+        if src_node is None:
+            raise FormatError(f"edges[{i}]: unknown node id {src}")
+        if dst not in nodes:
+            raise FormatError(f"edges[{i}]: unknown node id {dst}")
+        if position is None or position < 0:
+            raise FormatError(f"edges[{i}]: {kind.value} edge needs a position >= 0")
+        if kind is not dataflow and src_node.kind is not block_kind:
             raise FormatError(
-                f"{ctx}: containment is written as the node's 'block' field, "
-                "not as an explicit edge"
+                f"edges[{i}]: {kind.value} edge must start at the target Block, "
+                f"not at a {src_node.kind.value}"
             )
-        try:
-            kind = EdgeKind(kind_name)
-        except ValueError:
-            raise FormatError(f"{ctx}: unknown edge kind {kind_name!r}") from None
-        position = _int_field(ctx, item, "position") if "position" in item else None
-        try:
-            g.add_edge(src, dst, kind, position)
-        except GraphError as exc:
-            raise FormatError(f"{ctx}: {exc}") from None
+        edges.append(Edge(src, dst, kind, position))
 
     for key in ("start", "end"):
         ref = data[key]
-        if ref is None:
-            continue
-        if not isinstance(ref, int) or isinstance(ref, bool):
+        if ref is not None and type(ref) is not int:
             raise FormatError(f"{key!r} must be an integer node id")
-        if ref not in g:
+        if ref is not None and ref not in nodes:
             raise FormatError(f"{key!r} references missing node {ref}")
-        if key == "start":
-            g.start_block = ref
-        else:
-            g.end_block = ref
+    g = FirmGraph._from_tables(nodes, edges)
+    g.start_block, g.end_block = data["start"], data["end"]
     return g
 
 
-def to_payload(g: FirmGraph) -> dict:
-    nodes = []
-    for nid in sorted(g.node_ids()):
-        n = g.node(nid)
-        item: dict = {"id": nid, "kind": n.kind.value}
-        if n.value is not None:
-            item["value"] = n.value
-        if n.relation is not None:
-            item["relation"] = n.relation.value
-        if n.volatile is not None:
-            item["volatile"] = n.volatile
-        try:
-            item["block"] = g.block_of(nid)
-        except NoBlockError:
-            pass
-        nodes.append(item)
-    plain = sorted(
-        (
-            (e.src, e.kind.value, e.position, e.dst)
-            for e in g.edges()
-            if e.kind is not EdgeKind.BLOCK
-        ),
-    )
-    edges = [
-        {"src": src, "dst": dst, "kind": kind, "position": pos}
-        for src, kind, pos, dst in plain
-    ]
-    return {"nodes": nodes, "edges": edges, "start": g.start_block, "end": g.end_block}
+# The canonical text, laid out exactly as json.dumps(payload, indent=2)
+# lays it out. Kind and relation names are ASCII identifiers, so they need
+# no escaping, and add_node admits only ints for value and bools for
+# volatile, so %d and true/false are exact.
+_NODE_HEAD = '    {\n      "id": %d,\n      "kind": "%s"'
+_NODE_VALUE = ',\n      "value": %d'
+_NODE_RELATION = ',\n      "relation": "%s"'
+_NODE_VOLATILE = {True: ',\n      "volatile": true', False: ',\n      "volatile": false'}
+_NODE_BLOCK = ',\n      "block": %d\n    }'
+_EDGE = (
+    '    {\n      "src": %d,\n      "dst": %d,\n      "kind": "%s",\n'
+    '      "position": %d\n    }'
+)
+
+
+def _array(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _ref(nid: int | None) -> str:
+    return "null" if nid is None else "%d" % nid
 
 
 def to_json(g: FirmGraph) -> str:
-    return json.dumps(to_payload(g), indent=2) + "\n"
+    """The canonical text: nodes by id, edges by (src, kind, position, dst).
+
+    Containment is the node's "block" field: the first BlockEdge in its
+    out-list, as block_of() reads it.
+    """
+    block_edge = EdgeKind.BLOCK
+    nodes, out = g._nodes, g._out
+    items = []
+    plain = []
+    for nid in sorted(nodes):
+        block = None
+        for e in out[nid]:
+            if e.kind is not block_edge:
+                plain.append((e.src, e.kind.value, e.position, e.dst))
+            elif block is None:
+                block = e.dst
+        n = nodes[nid]
+        item = _NODE_HEAD % (nid, n.kind.value)
+        if n.value is not None:
+            item += _NODE_VALUE % n.value
+        if n.relation is not None:
+            item += _NODE_RELATION % n.relation.value
+        if n.volatile is not None:
+            item += _NODE_VOLATILE[n.volatile]
+        items.append(item + ("\n    }" if block is None else _NODE_BLOCK % block))
+    plain.sort()
+    edges = [_EDGE % (src, dst, kind, pos) for src, kind, pos, dst in plain]
+    return (
+        f'{{\n  "nodes": {_array(items)},\n  "edges": {_array(edges)},\n'
+        f'  "start": {_ref(g.start_block)},\n  "end": {_ref(g.end_block)}\n}}\n'
+    )
+
+
+def to_payload(g: FirmGraph) -> dict:
+    """The canonical JSON as Python data; to_json fixes its layout."""
+    return json.loads(to_json(g))
 
 
 def from_json(text: str) -> FirmGraph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals.
         raise FormatError(f"invalid JSON: {exc}") from None
     return from_payload(data)
 
 
 def load(path) -> FirmGraph:
-    return from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"invalid UTF-8: {exc}") from None
+    return from_json(text)
 
 
 def save(g: FirmGraph, path) -> None:

@@ -289,9 +289,6 @@ class FirmGraph:
         except KeyError:
             raise GraphError(f"unknown node id {nid}") from None
 
-    def kind_of(self, nid: int) -> NodeKind:
-        return self.node(nid).kind
-
     def node_ids(self) -> Iterator[int]:
         """All live node ids in ascending order."""
         return iter(self._nodes)
@@ -343,6 +340,12 @@ class FirmGraph:
             raise GraphError(f"{kind.value} cannot carry a volatile attribute")
         if volatile is None and kind in MEMORY_KINDS:
             volatile = False
+        # Only what the JSON format can carry back: a bool is an int to
+        # isinstance, but saves as true/false.
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+            raise GraphError(f"value must be an integer, got {value!r}")
+        if volatile is not None and not isinstance(volatile, bool):
+            raise GraphError(f"volatile must be a boolean, got {volatile!r}")
         if value is not None and not (-(2**31) <= value <= 2**31 - 1):
             raise GraphError(f"value {value} outside 32-bit signed range")
 
@@ -375,6 +378,25 @@ class FirmGraph:
         self._out[nid] = []
         self._in[nid] = []
         return nid
+
+    @classmethod
+    def _from_tables(cls, nodes: dict[int, Node], edges: list[Edge]) -> "FirmGraph":
+        """A graph over a finished node table and edge list, without checks.
+
+        The bulk hook for deserialization and copy(): the caller vouches
+        that every edge's endpoints are keys of `nodes`. Each incidence list
+        gets its edges in the order `edges` lists them.
+        """
+        g = cls()
+        g._nodes = nodes
+        out = g._out = {nid: [] for nid in nodes}
+        inc = g._in = {nid: [] for nid in nodes}
+        for e in edges:
+            out[e.src].append(e)
+            inc[e.dst].append(e)
+        g._edge_count = len(edges)
+        g._next_id = max(0, max(nodes, default=-1) + 1)
+        return g
 
     def add_edge(
         self, src: int, dst: int, kind: EdgeKind, position: int | None = None
@@ -540,11 +562,13 @@ class FirmGraph:
     # -- whole-graph helpers ----------------------------------------------
 
     def copy(self) -> "FirmGraph":
-        g = FirmGraph()
-        for nid, n in self._nodes.items():
-            g._raw_add_node(n.kind, n.value, n.relation, n.volatile, nid=nid)
-        for e in self.edges():
-            g.add_edge(e.src, e.dst, e.kind, e.position)
+        g = FirmGraph._from_tables(
+            {
+                nid: Node(n.kind, n.value, n.relation, n.volatile)
+                for nid, n in self._nodes.items()
+            },
+            [Edge(e.src, e.dst, e.kind, e.position) for e in self.edges()],
+        )
         g._next_id = self._next_id
         g.start_block = self.start_block
         g.end_block = self.end_block

@@ -7,6 +7,8 @@ plus a dict of the interesting node ids.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from firmfold.ir import EdgeKind, FirmGraph, NodeKind, Relation
@@ -259,6 +261,19 @@ def sized_gen_spec(rng) -> GenSpec:
         loop_count=loops,
         input_count=rng.randint(0, 3),
     )
+
+
+BRANCHY_SPEC = GenSpec(
+    blocks=100, ops_per_block=3, const_ratio=0.1, loop_count=5, input_count=8
+)
+
+
+def golden_corpus():
+    """Criterion 4's 500 seeded graphs, then three of the benchmark's branchy shape."""
+    for seed in range(500):
+        yield generate(seed, sized_gen_spec(random.Random(900_000 + seed)))
+    for seed in (1, 2, 3):
+        yield generate(seed, BRANCHY_SPEC)
 
 
 # -- broken graphs, one per verifier rule -----------------------------------

@@ -3,6 +3,8 @@
 import json
 import subprocess
 
+import pytest
+
 from conftest import build_diamond, build_div_graph, finish_return, func_graph
 from firmfold.cli import main
 from firmfold.graphio import load, save
@@ -159,6 +161,24 @@ def test_corrupt_json_is_exit_2(tmp_path, capsys):
     bad.write_text("{nope")
     assert main(["fold", str(bad), "-o", str(tmp_path / "o.json")]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content,fragment",
+    [
+        (b'{"nodes": [], "edges": [], "start": null, "end": "\xff"}', "invalid UTF-8"),
+        (b"[" * 200_000, "invalid JSON"),
+        (b'{"nodes": [{"id": ' + b"7" * 5000 + b"}]}", "invalid JSON"),
+    ],
+    ids=["not-utf8", "nested-too-deep", "overlong-integer"],
+)
+def test_malformed_file_is_exit_2_without_traceback(tmp_path, capsys, content, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fragment}")
+    assert "Traceback" not in err
 
 
 def test_isel_on_lowered_graph_is_exit_3(tmp_path, capsys):

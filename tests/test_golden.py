@@ -12,27 +12,17 @@ the writer, the loader and copy() along with the passes.
 """
 
 import hashlib
-import random
 
-from conftest import sized_gen_spec
+from conftest import golden_corpus
 from firmfold.cfgfold import optimize
-from firmfold.graphio import GenSpec, from_json, generate, to_json
+from firmfold.graphio import from_json, to_json
 from firmfold.isel import run_instruction_selection
-
-BRANCHY = GenSpec(blocks=100, ops_per_block=3, const_ratio=0.1, loop_count=5, input_count=8)
 
 DIGESTS = {
     "input": "f913f09b8b020250584f989f650cbf65ebf24b79530a17afdb1be8718f5f8cf3",
     "optimized": "11f7b724b298447e23461db224586b31dbfe714902e09ca77e1a574a02c5e728",
     "lowered": "97152e92c5efbee56a97e3e13a1458c37dc9bc39b27d6bc288fd121a3f9e24d9",
 }
-
-
-def golden_corpus():
-    for seed in range(500):
-        yield generate(seed, sized_gen_spec(random.Random(900_000 + seed)))
-    for seed in (1, 2, 3):
-        yield generate(seed, BRANCHY)
 
 
 def test_pipeline_output_matches_the_golden_digests():

@@ -1,5 +1,6 @@
 """JSON round-trips, schema diagnostics, DOT output, and the generator."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -7,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_add_graph, build_diamond, sized_gen_spec
+import reference_graphio as reference
+from conftest import (
+    broken_graphs,
+    build_add_graph,
+    build_diamond,
+    func_graph,
+    golden_corpus,
+    sized_gen_spec,
+)
 from firmfold.cfgfold import optimize
 from firmfold.errors import FormatError
 from firmfold.graphio import (
@@ -22,7 +31,8 @@ from firmfold.graphio import (
     to_json,
     to_payload,
 )
-from firmfold.ir import NodeKind
+from firmfold.ir import EdgeKind, NodeKind
+from firmfold.isel import run_instruction_selection
 from firmfold.verifier import verify
 
 DATA = Path(__file__).parent / "data"
@@ -106,6 +116,10 @@ def test_block_membership_is_a_node_field():
         (lambda d: d["edges"][0].update(kind="Wire"), "unknown edge kind 'Wire'"),
         (lambda d: d["edges"][0].update(dst=999), "unknown node id 999"),
         (lambda d: d["edges"][0].pop("position"), "needs a position"),
+        (lambda d: d["edges"][0].update(position=None), "'position' must be an integer"),
+        (lambda d: d["edges"][0].update(position=-1), "needs a position >= 0"),
+        (lambda d: d["edges"][1].update(kind="True"), "must start at the target Block"),
+        (lambda d: d["nodes"][0].update(block=0), "a Block cannot have a BlockEdge"),
         (lambda d: d.update(start=999), "'start' references missing node 999"),
         (lambda d: d.update(end=True), "'end' must be an integer node id"),
     ],
@@ -113,8 +127,11 @@ def test_block_membership_is_a_node_field():
 def test_schema_diagnostics(mangle, fragment):
     data = _payload()
     mangle(data)
-    with pytest.raises(FormatError, match=fragment):
+    with pytest.raises(FormatError, match=fragment) as caught:
         from_payload(data)
+    with pytest.raises(FormatError) as expected:
+        reference.from_payload(data)
+    assert str(caught.value) == str(expected.value)
 
 
 def test_invalid_json_text():
@@ -248,6 +265,7 @@ def test_small_graphs_round_trip_and_verify(seed, blocks, ops, ratio):
     g = generate(seed, spec)
     assert verify(g) == []
     assert to_json(from_json(to_json(g))) == to_json(g)
+    assert to_json(g) == reference.to_json(g)
 
 
 def test_big_graph_saves_and_loads_fast(tmp_path, big_graph):
@@ -262,3 +280,133 @@ def test_big_graph_saves_and_loads_fast(tmp_path, big_graph):
     assert elapsed < 10.0
     assert len(loaded) == len(big_graph)
     assert loaded.signature() == big_graph.signature()
+
+
+# -- the one-pass loader and the template writer against the reference -------
+
+# Values that mutated fields take: wrong types, dangling and negative ids,
+# and names, valid or not, of node kinds, edge kinds and relations.
+_ODD_VALUES = (True, False, 0, 1, -1, 3, 1.5, 2.0, "3", None, [], {}, 999, -7, 10**12)
+_NAMES = (
+    "Blk", "Add", "Block", "Const", "Cmp", "Load", "Less", "Sideways",
+    "Dataflow", "Controlflow", "True", "False", "BlockEdge", "Wire",
+)
+_ITEM_KEYS = {
+    "nodes": ("id", "kind", "value", "relation", "volatile", "block", "color"),
+    "edges": ("src", "dst", "kind", "position", "color"),
+}
+# Field-level mutations come up more often: each item has many fields.
+_MUTATIONS = ("set_key",) * 4 + ("set_kind", "set_ref") * 2 + (
+    "drop_key", "duplicate_id", "block_edge", "containment_on_block",
+    "not_an_object", "anchor", "top_level",
+)
+
+
+def _item(payload, data):
+    """("nodes" or "edges", one item of that array), or (None, None) if both are empty."""
+    arrays = [a for a in ("nodes", "edges") if isinstance(payload.get(a), list) and payload[a]]
+    if not arrays:
+        return None, None
+    array = data.draw(st.sampled_from(arrays))
+    items = payload[array]
+    return array, items[data.draw(st.integers(0, len(items) - 1))]
+
+
+def _node_ids(payload):
+    nodes = payload.get("nodes")
+    ids = [n.get("id") for n in nodes if isinstance(n, dict)] if isinstance(nodes, list) else []
+    return [nid for nid in ids if type(nid) is int] or [0]
+
+
+def _mutate(payload, data):
+    op = data.draw(st.sampled_from(_MUTATIONS))
+    array, item = _item(payload, data)
+    ids = _node_ids(payload)
+    if op == "drop_key" and isinstance(item, dict) and item:
+        del item[data.draw(st.sampled_from(sorted(item)))]
+    elif op == "set_key" and isinstance(item, dict):
+        key = data.draw(st.sampled_from(_ITEM_KEYS[array]))
+        item[key] = data.draw(st.sampled_from(_ODD_VALUES + _NAMES))
+    elif op == "set_kind" and isinstance(item, dict):
+        item["kind"] = data.draw(st.sampled_from(_NAMES))
+    elif op == "set_ref" and isinstance(item, dict):
+        key = data.draw(st.sampled_from(("block", "src", "dst", "position")))
+        item[key] = data.draw(st.sampled_from(ids))
+    elif op == "duplicate_id" and isinstance(item, dict):
+        item["id"] = data.draw(st.sampled_from(ids))
+    elif op == "block_edge" and isinstance(payload.get("edges"), list):
+        src, dst = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+        payload["edges"].append({"src": src, "dst": dst, "kind": "BlockEdge"})
+    elif op == "containment_on_block" and isinstance(payload.get("nodes"), list):
+        for node in payload["nodes"]:
+            if isinstance(node, dict) and node.get("kind") == "Block":
+                node["block"] = data.draw(st.sampled_from(ids))
+                break
+    elif op == "not_an_object" and isinstance(payload.get("nodes"), list) and payload["nodes"]:
+        array = payload[data.draw(st.sampled_from(("nodes", "edges")))]
+        if isinstance(array, list) and array:
+            array[data.draw(st.integers(0, len(array) - 1))] = data.draw(
+                st.sampled_from((7, "x", None, [], True))
+            )
+    elif op == "anchor":
+        key = data.draw(st.sampled_from(("start", "end")))
+        payload[key] = data.draw(st.sampled_from(_ODD_VALUES + tuple(ids)))
+    elif op == "top_level":
+        choice = data.draw(st.integers(0, 2))
+        if choice == 0:
+            payload.pop(data.draw(st.sampled_from(("nodes", "edges", "start", "end"))), None)
+        elif choice == 1:
+            payload["extra"] = 1
+        else:
+            payload[data.draw(st.sampled_from(("nodes", "edges")))] = {}
+
+
+def _outcome(load, payload):
+    """What a loader makes of a payload: its error message, or the graph's tables."""
+    try:
+        g = load(copy.deepcopy(payload))
+    except FormatError as exc:
+        return "error", str(exc)
+    nodes = [(nid, n.kind, n.value, n.relation, n.volatile) for nid, n in g.items()]
+    incidence = [
+        [[(e.src, e.dst, e.kind, e.position) for e in lst] for lst in table.values()]
+        for table in (g._out, g._in)
+    ]
+    return "graph", nodes, list(g._out), list(g._in), incidence, g._next_id, (
+        g.edge_count, g.start_block, g.end_block
+    ), to_json(g)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_loader_matches_the_reference_on_mutated_payloads(data):
+    seed = data.draw(st.integers(0, 40))
+    spec = GenSpec(blocks=5, ops_per_block=2, const_ratio=0.3, loop_count=1, input_count=1)
+    payload = json.loads(reference.to_json(generate(seed, spec)))
+    for array in ("nodes", "edges"):
+        if data.draw(st.booleans()):
+            payload[array] = data.draw(st.permutations(payload[array]))
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(payload, data)
+    expected = _outcome(reference.from_payload, payload)
+    assert _outcome(from_payload, payload) == expected
+    if expected[0] == "graph":
+        assert expected[-1] == reference.to_json(reference.from_payload(payload))
+
+
+def test_writer_matches_the_reference():
+    graphs = list(broken_graphs().values())
+    g, entry, _ = func_graph()
+    # Only add_edge can give a node a second BlockEdge; the first one wins.
+    c = g.add_node(NodeKind.CONST, value=4, block=entry)
+    g.add_edge(c, g.end_block, EdgeKind.BLOCK)
+    graphs.append(g)
+    for g in graphs:
+        assert to_json(g) == reference.to_json(g)
+        assert to_payload(g) == reference.to_payload(g)
+    for g in golden_corpus():
+        assert to_json(g) == reference.to_json(g)
+        optimize(g)
+        assert to_json(g) == reference.to_json(g)
+        run_instruction_selection(g)
+        assert to_json(g) == reference.to_json(g)

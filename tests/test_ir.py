@@ -42,6 +42,17 @@ def test_add_node_attribute_legality():
         g.add_node(NodeKind.CONST, value=2**31, block=entry)
 
 
+def test_add_node_rejects_attributes_the_format_cannot_carry():
+    g, entry, _ = func_graph()
+    for value in (1.5, True, "3"):
+        with pytest.raises(GraphError, match="value must be an integer"):
+            g.add_node(NodeKind.CONST, value=value, block=entry)
+    for volatile in (1, 0, "yes"):
+        with pytest.raises(GraphError, match="volatile must be a boolean"):
+            g.add_node(NodeKind.LOAD, volatile=volatile, block=entry)
+    assert len(g) == 4
+
+
 def test_add_node_volatile_defaults_to_false_on_memory_kinds():
     g, entry, _ = func_graph()
     load = g.add_node(NodeKind.LOAD, block=entry)
@@ -238,6 +249,31 @@ def test_copy_is_independent_and_identical():
     g2 = g.copy()
     nid = g2.add_node(NodeKind.CONST, value=5, block=names["entry"])
     assert nid not in g
+
+
+def test_copy_keeps_the_incidence_order():
+    from firmfold.cfgfold import optimize
+    from firmfold.graphio import generate
+
+    g = generate(2)
+    optimize(g)  # its rewrites leave the in-lists out of edges() order
+    h = g.copy()
+
+    def rows(lst):
+        return [(e.src, e.dst, e.kind, e.position) for e in lst]
+
+    # Out-lists are copied as they are; each in-list gets its edges in the
+    # order edges() visits them.
+    expected_in = {nid: [] for nid in g.node_ids()}
+    for e in g.edges():
+        expected_in[e.dst].append((e.src, e.dst, e.kind, e.position))
+    assert list(h.node_ids()) == list(g.node_ids())
+    assert {nid: rows(lst) for nid, lst in h._out.items()} == {
+        nid: rows(lst) for nid, lst in g._out.items()
+    }
+    assert {nid: rows(lst) for nid, lst in h._in.items()} == expected_in
+    assert expected_in != {nid: rows(lst) for nid, lst in g._in.items()}
+    assert (h._next_id, h.edge_count) == (g._next_id, g.edge_count)
 
 
 def test_unknown_node_queries_raise():
