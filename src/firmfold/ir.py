@@ -368,7 +368,7 @@ class FirmGraph:
         volatile: bool | None,
         nid: int | None = None,
     ) -> int:
-        """Insert a node without legality checks (deserialization hook)."""
+        """Insert a node without legality checks, under nid or the next free id."""
         if nid is None:
             nid = self._next_id
         elif nid in self._nodes:
