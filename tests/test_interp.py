@@ -13,6 +13,7 @@ from conftest import (
     finish_return,
     func_graph,
 )
+from firmfold.arith import apply_binary, apply_not
 from firmfold.errors import InterpreterError
 from firmfold.interp import TRAP_DIV_BY_ZERO, TRAP_STEP_LIMIT, execute
 from firmfold.ir import EdgeKind, FirmGraph, NodeKind, Relation
@@ -161,3 +162,69 @@ def test_lowered_cmp_immediate_uses_its_relation():
     g.add_edge(ret, cmpi, DF, 0)
     g.add_edge(g.end_block, ret, EdgeKind.CONTROLFLOW, 0)
     assert execute(g).value == 1  # 2 < 3
+
+
+
+_OPERANDS = (-(2**31), 2**31 - 1, -1, 0, 1, 31, 32, 33)
+_BINARY_CASES = [(name, None) for name in "Add Sub Mul And Or Xor Shl Shr".split()] + [
+    ("Cmp", rel) for rel in Relation
+]
+
+
+def _op_graph(kind, target, arity, **attrs):
+    """Return(kind(Load, ...)) over `arity` volatile Loads, in IR or target
+    kinds; returns (graph, load ids, op id)."""
+    g, entry, _ = func_graph()
+    const = NodeKind.TARGET_CONST if target else NodeKind.CONST
+    load = NodeKind.TARGET_LOAD if target else NodeKind.LOAD
+    op = g.add_node(kind, block=entry, **attrs)
+    loads = []
+    for pos in range(arity):
+        addr = g.add_node(const, value=pos, block=entry)
+        ld = g.add_node(load, volatile=True, block=entry)
+        g.add_edge(ld, addr, DF, 0)
+        g.add_edge(op, ld, DF, pos)
+        loads.append(ld)
+    ret = g.add_node(NodeKind.TARGET_RETURN if target else NodeKind.RETURN, block=entry)
+    g.add_edge(ret, op, DF, 0)
+    g.add_edge(g.end_block, ret, EdgeKind.CONTROLFLOW, 0)
+    return g, loads, op
+
+
+@pytest.mark.parametrize(
+    "name,relation",
+    _BINARY_CASES,
+    ids=[n if r is None else f"Cmp-{r.value}" for n, r in _BINARY_CASES],
+)
+def test_every_binary_form_runs_the_ir_semantics(name, relation):
+    """X(a, b), TargetX(a, b) and TargetXI(a; imm b) all agree with X's
+    entry in apply_binary."""
+    ir_kind = NodeKind(name)
+    plain, loads_p, _ = _op_graph(ir_kind, False, 2, relation=relation)
+    target, loads_t, _ = _op_graph(NodeKind(f"Target{name}"), True, 2, relation=relation)
+    imm, (load_i,), imm_op = _op_graph(
+        NodeKind(f"Target{name}I"), True, 1, relation=relation, value=0
+    )
+    for a in _OPERANDS:
+        for b in _OPERANDS:
+            want = apply_binary(ir_kind, a, b, relation)
+            assert execute(plain, dict(zip(loads_p, (a, b)))).value == want, (a, b)
+            assert execute(target, dict(zip(loads_t, (a, b)))).value == want, (a, b)
+            imm.node(imm_op).value = b
+            assert execute(imm, {load_i: a}).value == want, (a, b)
+
+
+def test_not_and_load_forms_run_the_ir_semantics():
+    for kind, target in ((NodeKind.NOT, False), (NodeKind.TARGET_NOT, True)):
+        g, (ld,), _ = _op_graph(kind, target, 1)
+        for a in _OPERANDS:
+            assert execute(g, {ld: a}).value == apply_not(a)
+    g, entry, _ = func_graph()
+    addr = g.add_node(NodeKind.TARGET_CONST, value=123, block=entry)
+    ld = g.add_node(NodeKind.TARGET_LOAD, block=entry)
+    g.add_edge(ld, addr, DF, 0)
+    ret = g.add_node(NodeKind.TARGET_RETURN, block=entry)
+    g.add_edge(ret, ld, DF, 0)
+    g.add_edge(g.end_block, ret, EdgeKind.CONTROLFLOW, 0)
+    result = execute(g)
+    assert result.ok and result.value == 0
