@@ -14,14 +14,7 @@ from typing import Callable
 
 from .constfold import fold_dataflow_fixpoint
 from .errors import ContractError, GraphError, NoBlockError, VerificationError
-from .ir import (
-    ANCHOR_KINDS,
-    BINARY_KINDS,
-    COMMUTATIVE_KINDS,
-    EdgeKind,
-    FirmGraph,
-    NodeKind,
-)
+from .ir import ANCHOR_KINDS, COMMUTATIVE_KINDS, PURE_KINDS, EdgeKind, FirmGraph, NodeKind
 from .verifier import verify
 from . import constfold
 
@@ -144,14 +137,9 @@ def simplify_trivial_phi(g: FirmGraph, nid: int) -> bool:
     return True
 
 
-_PURE_KINDS = frozenset({NodeKind.CONST, NodeKind.NOT, NodeKind.PHI}) | BINARY_KINDS
-
-
 def _is_removable_when_unused(g: FirmGraph, nid: int) -> bool:
     node = g.node(nid)
-    if node.kind in _PURE_KINDS:
-        return True
-    return node.kind is NodeKind.LOAD and not node.volatile
+    return node.kind in PURE_KINDS and not node.volatile
 
 
 def remove_unused_node(g: FirmGraph, nid: int) -> bool:
@@ -204,13 +192,18 @@ def merge_blocks(g: FirmGraph, nid: int) -> bool:
 
 
 def _exhaust(
-    g: FirmGraph, rule: Callable[[FirmGraph, int], bool], kinds: frozenset[NodeKind]
+    g: FirmGraph, rule: Callable[[FirmGraph, int], bool], kind: NodeKind | None
 ) -> bool:
-    """Apply one rule to every matching node, repeating until quiet."""
+    """Apply one rule to every node of one kind (every non-anchor node for
+    None), repeating until quiet."""
     fired_ever = False
     while True:
         fired = False
-        for nid in [n for n, node in g.items() if node.kind in kinds]:
+        if kind is None:
+            nids = [n for n, node in g.items() if node.kind not in ANCHOR_KINDS]
+        else:
+            nids = [n for n, node in g.items() if node.kind is kind]
+        for nid in nids:
             if rule(g, nid):
                 fired = True
         if not fired:
@@ -221,9 +214,7 @@ def _exhaust(
 def _exhaust_unused(g: FirmGraph) -> bool:
     """Worklist form of remove_unused_node: deleting a node may orphan its
     operands, so those are requeued instead of rescanned."""
-    queue = deque(
-        nid for nid, node in g.items() if node.kind in _PURE_KINDS or node.kind is NodeKind.LOAD
-    )
+    queue = deque(nid for nid, node in g.items() if node.kind in PURE_KINDS)
     queued = set(queue)
     fired = False
     while queue:
@@ -255,12 +246,6 @@ def _exhaust_assoc_comm(g: FirmGraph) -> bool:
         fired_ever = True
 
 
-_ALL_KINDS = frozenset(NodeKind)
-_NON_ANCHOR_KINDS = _ALL_KINDS - ANCHOR_KINDS
-_BLOCK_ONLY = frozenset({NodeKind.BLOCK})
-_PHI_ONLY = frozenset({NodeKind.PHI})
-
-
 def cleanup_round(g: FirmGraph) -> bool:
     """One round of structural cleanup; True when anything changed.
 
@@ -269,15 +254,15 @@ def cleanup_round(g: FirmGraph) -> bool:
     and block merging runs last over the settled shape.
     """
     changed = False
-    changed |= _exhaust(g, fold_cond, frozenset({NodeKind.COND}))
-    changed |= _exhaust(g, remove_unreachable_block, _BLOCK_ONLY)
-    changed |= _exhaust(g, remove_unreachable_node, _NON_ANCHOR_KINDS)
-    changed |= _exhaust(g, remove_unreachable_phi_operand, _PHI_ONLY)
-    changed |= _exhaust(g, fix_edge_position, _BLOCK_ONLY)
-    changed |= _exhaust(g, simplify_trivial_phi, _PHI_ONLY)
+    changed |= _exhaust(g, fold_cond, NodeKind.COND)
+    changed |= _exhaust(g, remove_unreachable_block, NodeKind.BLOCK)
+    changed |= _exhaust(g, remove_unreachable_node, None)
+    changed |= _exhaust(g, remove_unreachable_phi_operand, NodeKind.PHI)
+    changed |= _exhaust(g, fix_edge_position, NodeKind.BLOCK)
+    changed |= _exhaust(g, simplify_trivial_phi, NodeKind.PHI)
     changed |= _exhaust_assoc_comm(g)
     changed |= _exhaust_unused(g)
-    changed |= _exhaust(g, merge_blocks, _BLOCK_ONLY)
+    changed |= _exhaust(g, merge_blocks, NodeKind.BLOCK)
     return changed
 
 

@@ -143,7 +143,7 @@ def _parse_sizes(text: str) -> list[int]:
             continue
         try:
             sizes.append(int(float(part)))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise FormatError(f"bad size {part!r} in --sizes") from None
     if not sizes:
         raise FormatError("--sizes needs at least one size")

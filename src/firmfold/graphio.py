@@ -15,7 +15,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FormatError, NoBlockError
-from .ir import Edge, EdgeKind, FirmGraph, Node, NodeKind, Relation
+from .ir import (
+    COMMUTATIVE_KINDS,
+    IMMEDIATE_TARGET_OF,
+    OPS,
+    Edge,
+    EdgeKind,
+    FirmGraph,
+    Node,
+    NodeKind,
+    Relation,
+)
 
 _NODE_KEYS = frozenset({"id", "kind", "value", "relation", "volatile", "block"})
 _EDGE_KEYS = frozenset({"src", "dst", "kind", "position"})
@@ -333,19 +343,10 @@ class GenSpec:
     input_count: int = 2
 
 
-_BINARY_PALETTE = (
-    NodeKind.ADD,
-    NodeKind.SUB,
-    NodeKind.MUL,
-    NodeKind.AND,
-    NodeKind.OR,
-    NodeKind.XOR,
-    NodeKind.SHL,
-    NodeKind.SHR,
-)
-_NONCOMMUTATIVE = frozenset(
-    {NodeKind.SUB, NodeKind.SHL, NodeKind.SHR, NodeKind.CMP}
-)
+# The binary ops with an immediate target form and no relation, in
+# NodeKind order: Add, Sub, Mul, And, Or, Xor, Shl, Shr. The generator's
+# random draws depend on this order.
+_BINARY_PALETTE = tuple(k for k in IMMEDIATE_TARGET_OF if not OPS[k].relation)
 _RELATIONS = tuple(Relation)
 
 
@@ -387,7 +388,7 @@ class _Generator:
         return self.rng.choice(pool)
 
     def _ordered(self, kind: NodeKind, a: int, b: int) -> tuple[int, int]:
-        if kind in _NONCOMMUTATIVE and not self.dyn[a] and self.dyn[b]:
+        if kind not in COMMUTATIVE_KINDS and not self.dyn[a] and self.dyn[b]:
             return b, a
         return a, b
 

@@ -13,22 +13,24 @@ block along predecessor position p first evaluates every Phi's operand
 at position p against the *old* values, then installs all updates at
 once. Reading a Phi just returns its current value.
 
-Volatile Loads read from the supplied inputs mapping, keyed by node id;
-non-volatile Loads produce 0 and Stores are never demanded. Division by
-zero and exceeding the step budget are traps: defined, reportable
-outcomes rather than errors.
+Volatile Loads read from the supplied inputs mapping, keyed by node id,
+whose values must lie in the 32-bit signed range; non-volatile Loads
+produce 0 and Stores are never demanded. Division by zero and exceeding
+the step budget are traps: defined, reportable outcomes rather than
+errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import apply_binary, apply_not
+from .arith import INT_MAX, INT_MIN, apply_binary, apply_not
 from .errors import InterpreterError
 from .ir import (
+    BINARY_KINDS,
     CONTROL_TRANSFER_KINDS,
-    IMMEDIATE_TARGET_OF,
-    PLAIN_TARGET_OF,
+    IMMEDIATE_KINDS,
+    OPS,
     EdgeKind,
     FirmGraph,
     NodeKind,
@@ -37,35 +39,9 @@ from .ir import (
 TRAP_DIV_BY_ZERO = "divide-by-zero"
 TRAP_STEP_LIMIT = "step-limit"
 
-_IR_OF_PLAIN_TARGET = {t: ir for ir, t in PLAIN_TARGET_OF.items()}
-_IR_OF_IMMEDIATE = {t: ir for ir, t in IMMEDIATE_TARGET_OF.items()}
-_BINARY_SEMANTICS = {
-    k: k
-    for k in (
-        NodeKind.ADD,
-        NodeKind.SUB,
-        NodeKind.MUL,
-        NodeKind.DIV,
-        NodeKind.MOD,
-        NodeKind.AND,
-        NodeKind.OR,
-        NodeKind.XOR,
-        NodeKind.SHL,
-        NodeKind.SHR,
-        NodeKind.CMP,
-    )
-}
-for _t, _ir in _IR_OF_PLAIN_TARGET.items():
-    if _ir in _BINARY_SEMANTICS:
-        _BINARY_SEMANTICS[_t] = _ir
-del _t, _ir
-
-_PHI_KINDS = (NodeKind.PHI, NodeKind.TARGET_PHI)
-_CONST_KINDS = (NodeKind.CONST, NodeKind.TARGET_CONST)
-_LOAD_KINDS = (NodeKind.LOAD, NodeKind.TARGET_LOAD)
-_RETURN_KINDS = (NodeKind.RETURN, NodeKind.TARGET_RETURN)
-_JMP_KINDS = (NodeKind.JMP, NodeKind.TARGET_JMP)
-_COND_KINDS = (NodeKind.COND, NodeKind.TARGET_COND)
+# Every kind runs as the IR op it has the semantics of, so a TargetX or
+# TargetXI node computes through X's entry in apply_binary.
+_OP_OF = {kind: d.op for kind, d in OPS.items()}
 
 
 @dataclass
@@ -108,7 +84,7 @@ class _Machine:
             xfer = None
             for m in self.g.members_of(block):
                 kind = self.g.node(m).kind
-                if kind in _PHI_KINDS:
+                if _OP_OF[kind] is NodeKind.PHI:
                     phis.append(m)
                 elif xfer is None and kind in CONTROL_TRANSFER_KINDS:
                     xfer = m
@@ -120,6 +96,9 @@ class _Machine:
         g = self.g
         memo = self.memo
         epoch = self.epoch
+        op_of = _OP_OF
+        const_op = NodeKind.CONST
+        phi_op = NodeKind.PHI
         stack = [root]
         onstack: set[int] = set()
         while stack:
@@ -130,13 +109,13 @@ class _Machine:
                 onstack.discard(nid)
                 continue
             node = g.node(nid)
-            kind = node.kind
-            if kind in _CONST_KINDS:
+            op = op_of[node.kind]
+            if op is const_op:
                 self._bump()
                 memo[nid] = (epoch, node.value)
                 stack.pop()
                 continue
-            if kind in _PHI_KINDS:
+            if op is phi_op:
                 try:
                     value = self.phi_values[nid]
                 except KeyError:
@@ -163,28 +142,22 @@ class _Machine:
                         raise InterpreterError(f"dataflow cycle through node {d}")
                     stack.append(d)
                 continue
-            memo[nid] = (epoch, self._compute(nid, node, kind, vals))
+            memo[nid] = (epoch, self._compute(nid, node, op, vals))
             onstack.discard(nid)
             stack.pop()
         return memo[root][1]
 
-    def _compute(self, nid: int, node, kind: NodeKind, vals: list[int]) -> int:
+    def _compute(self, nid: int, node, op: NodeKind, vals: list[int]) -> int:
         self._bump()
-        if kind in (NodeKind.NOT, NodeKind.TARGET_NOT):
+        if op in BINARY_KINDS:
+            b = node.value if node.kind in IMMEDIATE_KINDS else vals[1]
+            value = apply_binary(op, vals[0], b, node.relation)
+            if value is None:
+                raise _Trap(TRAP_DIV_BY_ZERO)
+            return value
+        if op is NodeKind.NOT:
             return apply_not(vals[0])
-        sem = _BINARY_SEMANTICS.get(kind)
-        if sem is not None:
-            value = apply_binary(sem, vals[0], vals[1], node.relation)
-            if value is None:
-                raise _Trap(TRAP_DIV_BY_ZERO)
-            return value
-        sem = _IR_OF_IMMEDIATE.get(kind)
-        if sem is not None:
-            value = apply_binary(sem, vals[0], node.value, node.relation)
-            if value is None:
-                raise _Trap(TRAP_DIV_BY_ZERO)
-            return value
-        if kind in _LOAD_KINDS:
+        if op is NodeKind.LOAD:
             if node.volatile:
                 try:
                     return self.inputs[nid]
@@ -193,7 +166,7 @@ class _Machine:
                         f"no input value for volatile Load {nid}"
                     ) from None
             return 0
-        raise InterpreterError(f"{kind.value} node {nid} does not produce a value")
+        raise InterpreterError(f"{node.kind.value} node {nid} does not produce a value")
 
 
 def execute(
@@ -204,10 +177,18 @@ def execute(
     """Run a graph to its Return, a trap, or an error.
 
     Graphs that fail verification are not supported here; run the
-    verifier first if in doubt.
+    verifier first if in doubt. Every input value must be an int in the
+    IR's 32-bit signed range.
     """
     if g.start_block is None or g.start_block not in g:
         raise InterpreterError("graph has no start block")
+    for nid, value in (inputs or {}).items():
+        if not isinstance(value, int) or isinstance(value, bool) or not (
+            INT_MIN <= value <= INT_MAX
+        ):
+            raise InterpreterError(
+                f"input {value!r} for node {nid} is not a 32-bit signed integer"
+            )
     m = _Machine(g, dict(inputs or {}), max_steps)
     cur = g.start_block
     entry_pos: int | None = None
@@ -235,18 +216,19 @@ def execute(
                 raise InterpreterError(f"block {cur} has no control transfer")
             m._bump()
             kind = g.node(xfer).kind
-            if kind in _RETURN_KINDS:
+            op = _OP_OF[kind]
+            if op is NodeKind.RETURN:
                 ops = g.operand_edges(xfer)
                 if len(ops) != 1:
                     raise InterpreterError(f"Return {xfer} needs exactly one operand")
                 return ExecResult(m.eval(ops[0].dst), None, m.steps)
-            if kind in _JMP_KINDS:
+            if op is NodeKind.JMP:
                 succ = g.in_edges(xfer, EdgeKind.CONTROLFLOW)
                 if len(succ) != 1:
                     raise InterpreterError(f"Jmp {xfer} has {len(succ)} successors")
                 cur, entry_pos = succ[0].src, succ[0].position
                 continue
-            if kind in _COND_KINDS:
+            if op is NodeKind.COND:
                 ops = g.operand_edges(xfer)
                 if len(ops) != 1:
                     raise InterpreterError(f"Cond {xfer} needs exactly one operand")

@@ -11,14 +11,19 @@ Nodes are operations; everything else is edges:
 * ``BlockEdge`` edges point from a non-Block node to the Block containing
   it. They carry no position.
 
-Node ids are dense ints handed out monotonically and never reused, so
-iterating the node table always visits ids in ascending order.
+Node ids are ints handed out monotonically and never reused. Iterating
+the node table visits nodes in insertion order: ascending ids for a graph
+built through FirmGraph, the file's order for a loaded one.
+
+Every per-kind fact (arity, legal attributes, role, purity,
+commutativity, semantic op and target forms) lives in one table, OPS; the
+kind sets and maps below it are views of that table.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import GraphError, NoBlockError
 
@@ -103,113 +108,119 @@ class Relation(Enum):
     GREATER_EQUAL = "GreaterEqual"
 
 
+# Role bits: the structural part a kind plays.
+ROLE_ANCHOR, ROLE_TRANSFER, ROLE_PHI, ROLE_COND, ROLE_START, ROLE_END = 1, 2, 4, 8, 16, 32
+_ROLE_OF_TRAIT = {
+    "anchor": ROLE_ANCHOR,
+    "transfer": ROLE_TRANSFER,
+    "phi": ROLE_PHI,
+    "cond": ROLE_COND,
+    "start": ROLE_START,
+    "end": ROLE_END,
+}
+
+
+class OpInfo(NamedTuple):
+    """Every per-kind fact the package uses, for one NodeKind.
+
+    arity counts Dataflow operands (None: variable, at least one). value,
+    relation and volatile say which attributes the kind carries; each is
+    legal exactly where it is set. role holds ROLE_* bits. commutative lets
+    rewrites swap the two operands; pure lets cleanup delete a node nothing
+    reads, unless the node is volatile. op is the IR kind whose semantics
+    the kind has (itself for an IR kind); plain and immediate are the target
+    kinds instruction selection lowers an IR kind to.
+    """
+
+    arity: int | None
+    value: bool
+    relation: bool
+    volatile: bool
+    role: int
+    commutative: bool
+    pure: bool
+    op: NodeKind
+    plain: NodeKind | None
+    immediate: NodeKind | None
+
+
 K = NodeKind
-
-BINARY_KINDS = frozenset(
-    {K.ADD, K.SUB, K.MUL, K.DIV, K.MOD, K.AND, K.OR, K.XOR, K.SHL, K.SHR, K.CMP}
+# One row per IR kind. Each target kind is derived from the row of the IR
+# kind it lowers from: a plain form keeps the shape, an immediate form
+# takes operand 1 as its value attribute. Target kinds are final, so no
+# rule swaps their operands or deletes them.
+_IR_OPS = (
+    # kind     arity  traits                plain            immediate
+    (K.BLOCK,  0,     "anchor",             None,            None),
+    (K.START,  0,     "anchor start",       None,            None),
+    (K.END,    0,     "anchor end",         None,            None),
+    (K.RETURN, 1,     "transfer",           K.TARGET_RETURN, None),
+    (K.JMP,    0,     "transfer",           K.TARGET_JMP,    None),
+    (K.COND,   1,     "transfer cond",      K.TARGET_COND,   None),
+    (K.PHI,    None,  "phi pure",           K.TARGET_PHI,    None),
+    (K.CONST,  0,     "value pure",         K.TARGET_CONST,  None),
+    (K.NOT,    1,     "pure",               K.TARGET_NOT,    None),
+    (K.ADD,    2,     "pure commutative",   K.TARGET_ADD,    K.TARGET_ADD_I),
+    (K.SUB,    2,     "pure",               K.TARGET_SUB,    K.TARGET_SUB_I),
+    (K.MUL,    2,     "pure commutative",   K.TARGET_MUL,    K.TARGET_MUL_I),
+    (K.DIV,    2,     "pure",               None,            None),
+    (K.MOD,    2,     "pure",               None,            None),
+    (K.AND,    2,     "pure commutative",   K.TARGET_AND,    K.TARGET_AND_I),
+    (K.OR,     2,     "pure commutative",   K.TARGET_OR,     K.TARGET_OR_I),
+    (K.XOR,    2,     "pure commutative",   K.TARGET_XOR,    K.TARGET_XOR_I),
+    (K.SHL,    2,     "pure",               K.TARGET_SHL,    K.TARGET_SHL_I),
+    (K.SHR,    2,     "pure",               K.TARGET_SHR,    K.TARGET_SHR_I),
+    (K.CMP,    2,     "relation pure",      K.TARGET_CMP,    K.TARGET_CMP_I),
+    (K.LOAD,   1,     "volatile pure",      K.TARGET_LOAD,   None),
+    (K.STORE,  2,     "volatile",           K.TARGET_STORE,  None),
 )
-COMMUTATIVE_KINDS = frozenset({K.ADD, K.MUL, K.AND, K.OR, K.XOR})
-TARGET_KINDS = frozenset(k for k in NodeKind if k.value.startswith("Target"))
-CONTROL_TRANSFER_KINDS = frozenset(
-    {K.JMP, K.COND, K.RETURN, K.TARGET_JMP, K.TARGET_COND, K.TARGET_RETURN}
-)
-IMMEDIATE_KINDS = frozenset(
-    {
-        K.TARGET_ADD_I,
-        K.TARGET_SUB_I,
-        K.TARGET_MUL_I,
-        K.TARGET_AND_I,
-        K.TARGET_OR_I,
-        K.TARGET_XOR_I,
-        K.TARGET_SHL_I,
-        K.TARGET_SHR_I,
-        K.TARGET_CMP_I,
-    }
-)
-TARGET_BINARY_KINDS = frozenset(
-    {
-        K.TARGET_ADD,
-        K.TARGET_SUB,
-        K.TARGET_MUL,
-        K.TARGET_AND,
-        K.TARGET_OR,
-        K.TARGET_XOR,
-        K.TARGET_SHL,
-        K.TARGET_SHR,
-        K.TARGET_CMP,
-    }
-)
+del K
 
-# Attribute legality. Each attribute may appear exactly on these kinds.
-VALUE_KINDS = frozenset({K.CONST, K.TARGET_CONST}) | IMMEDIATE_KINDS
-RELATION_KINDS = frozenset({K.CMP, K.TARGET_CMP, K.TARGET_CMP_I})
-MEMORY_KINDS = frozenset({K.LOAD, K.STORE, K.TARGET_LOAD, K.TARGET_STORE})
 
-# Expected Dataflow fan-out per kind; None means variable (at least one).
-ARITY: dict[NodeKind, int | None] = {
-    K.BLOCK: 0,
-    K.START: 0,
-    K.END: 0,
-    K.RETURN: 1,
-    K.JMP: 0,
-    K.COND: 1,
-    K.PHI: None,
-    K.CONST: 0,
-    K.NOT: 1,
-    K.LOAD: 1,
-    K.STORE: 2,
-    K.TARGET_CONST: 0,
-    K.TARGET_NOT: 1,
-    K.TARGET_PHI: None,
-    K.TARGET_JMP: 0,
-    K.TARGET_COND: 1,
-    K.TARGET_RETURN: 1,
-    K.TARGET_LOAD: 1,
-    K.TARGET_STORE: 2,
-}
-for _k in BINARY_KINDS | TARGET_BINARY_KINDS:
-    ARITY[_k] = 2
-for _k in IMMEDIATE_KINDS:
-    ARITY[_k] = 1
+def _op_table() -> dict[NodeKind, OpInfo]:
+    ops = {}
+    for kind, arity, traits, plain, immediate in _IR_OPS:
+        words = traits.split()
+        info = ops[kind] = OpInfo(
+            arity,
+            "value" in words,
+            "relation" in words,
+            "volatile" in words,
+            sum(bit for trait, bit in _ROLE_OF_TRAIT.items() if trait in words),
+            "commutative" in words,
+            "pure" in words,
+            kind,
+            plain,
+            immediate,
+        )
+        lowered = info._replace(commutative=False, pure=False, plain=None, immediate=None)
+        if plain is not None:
+            ops[plain] = lowered
+        if immediate is not None:
+            ops[immediate] = lowered._replace(arity=arity - 1, value=True)
+    # In NodeKind order; a kind without a row fails here.
+    return {kind: ops[kind] for kind in NodeKind}
 
-# Retyping maps used by instruction selection.
-PLAIN_TARGET_OF = {
-    K.CONST: K.TARGET_CONST,
-    K.NOT: K.TARGET_NOT,
-    K.ADD: K.TARGET_ADD,
-    K.SUB: K.TARGET_SUB,
-    K.MUL: K.TARGET_MUL,
-    K.AND: K.TARGET_AND,
-    K.OR: K.TARGET_OR,
-    K.XOR: K.TARGET_XOR,
-    K.SHL: K.TARGET_SHL,
-    K.SHR: K.TARGET_SHR,
-    K.CMP: K.TARGET_CMP,
-    K.PHI: K.TARGET_PHI,
-    K.JMP: K.TARGET_JMP,
-    K.COND: K.TARGET_COND,
-    K.RETURN: K.TARGET_RETURN,
-    K.LOAD: K.TARGET_LOAD,
-    K.STORE: K.TARGET_STORE,
-}
-IMMEDIATE_TARGET_OF = {
-    K.ADD: K.TARGET_ADD_I,
-    K.SUB: K.TARGET_SUB_I,
-    K.MUL: K.TARGET_MUL_I,
-    K.AND: K.TARGET_AND_I,
-    K.OR: K.TARGET_OR_I,
-    K.XOR: K.TARGET_XOR_I,
-    K.SHL: K.TARGET_SHL_I,
-    K.SHR: K.TARGET_SHR_I,
-    K.CMP: K.TARGET_CMP_I,
-}
+
+OPS = _op_table()
+
+# Views of OPS for the hot `kind in S` tests and the retyping maps.
+ARITY = {k: d.arity for k, d in OPS.items()}
+VALUE_KINDS = frozenset(k for k, d in OPS.items() if d.value)
+RELATION_KINDS = frozenset(k for k, d in OPS.items() if d.relation)
+MEMORY_KINDS = frozenset(k for k, d in OPS.items() if d.volatile)
+ANCHOR_KINDS = frozenset(k for k, d in OPS.items() if d.role & ROLE_ANCHOR)
+CONTROL_TRANSFER_KINDS = frozenset(k for k, d in OPS.items() if d.role & ROLE_TRANSFER)
+COMMUTATIVE_KINDS = frozenset(k for k, d in OPS.items() if d.commutative)
+PURE_KINDS = frozenset(k for k, d in OPS.items() if d.pure)
+BINARY_KINDS = frozenset(k for k in PURE_KINDS if OPS[k].arity == 2)
+TARGET_KINDS = frozenset(k for k, d in OPS.items() if d.op is not k)
+PLAIN_TARGET_OF = {k: d.plain for k, d in OPS.items() if d.plain is not None}
+IMMEDIATE_TARGET_OF = {k: d.immediate for k, d in OPS.items() if d.immediate is not None}
+IMMEDIATE_KINDS = frozenset(IMMEDIATE_TARGET_OF.values())
+TARGET_BINARY_KINDS = frozenset(PLAIN_TARGET_OF[k] for k in IMMEDIATE_TARGET_OF)
 
 CONTROL_EDGE_KINDS = frozenset({EdgeKind.CONTROLFLOW, EdgeKind.TRUE, EdgeKind.FALSE})
-
-# Kinds immune to structural retyping and deletion.
-ANCHOR_KINDS = frozenset({K.BLOCK, K.START, K.END})
-
-del _k, K
 
 
 class Node:
@@ -290,7 +301,8 @@ class FirmGraph:
             raise GraphError(f"unknown node id {nid}") from None
 
     def node_ids(self) -> Iterator[int]:
-        """All live node ids in ascending order."""
+        """All live node ids in insertion order (ascending for a graph built
+        here, the file's order for a loaded one)."""
         return iter(self._nodes)
 
     def items(self):

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 from .errors import NoBlockError
 from .ir import (
-    ARITY,
-    CONTROL_TRANSFER_KINDS,
-    MEMORY_KINDS,
-    RELATION_KINDS,
-    VALUE_KINDS,
+    OPS,
+    ROLE_COND,
+    ROLE_END,
+    ROLE_PHI,
+    ROLE_START,
+    ROLE_TRANSFER,
     EdgeKind,
     FirmGraph,
     NodeKind,
@@ -42,33 +43,9 @@ class Violation:
     message: str
 
 
-# Role bits: what the walk must do for a kind beyond the per-node rules.
-_TRANSFER, _PHI, _COND, _START, _END = 1, 2, 4, 8, 16
-
-
-def _kind_facts(kind: NodeKind) -> tuple:
-    """(arity or None, role bits, value legal, relation legal, volatile legal)."""
-    role = 0
-    if kind in CONTROL_TRANSFER_KINDS:
-        role |= _TRANSFER
-    if kind in (NodeKind.PHI, NodeKind.TARGET_PHI):
-        role |= _PHI
-    if kind in (NodeKind.COND, NodeKind.TARGET_COND):
-        role |= _COND
-    if kind is NodeKind.START:
-        role |= _START
-    if kind is NodeKind.END:
-        role |= _END
-    return (
-        ARITY.get(kind),
-        role,
-        kind in VALUE_KINDS,
-        kind in RELATION_KINDS,
-        kind in MEMORY_KINDS,
-    )
-
-
-_FACTS = {kind: _kind_facts(kind) for kind in NodeKind}
+# Per kind, what the walk reads of the op table:
+# (arity or None, role bits, value legal, relation legal, volatile legal).
+_FACTS = {k: (d.arity, d.role, d.value, d.relation, d.volatile) for k, d in OPS.items()}
 
 # Most nodes list their operands in position order; a prefix of this list
 # settles V2 for them without a call.
@@ -117,7 +94,7 @@ def verify(g: FirmGraph) -> list[Violation]:
                 if homes == 0:
                     home = e.dst
                 homes += 1
-                if role & _TRANSFER:
+                if role & ROLE_TRANSFER:
                     transfers.setdefault(e.dst, []).append(nid)
             elif ctrl is None:
                 ctrl = [e.position]
@@ -170,13 +147,13 @@ def verify(g: FirmGraph) -> list[Violation]:
             )
 
         if role:
-            if role & _PHI and homes:
+            if role & ROLE_PHI and homes:
                 phis.append((nid, home, poss))
-            elif role & _START:
+            elif role & ROLE_START:
                 starts.append(nid)
-            elif role & _END:
+            elif role & ROLE_END:
                 ends.append(nid)
-            elif role & _COND:
+            elif role & ROLE_COND:
                 # V5: every Cond has exactly one True and one False successor edge.
                 t = f = 0
                 for e in g._in[nid]:

@@ -125,9 +125,13 @@ def test_remove_unused_node_rules():
     store = g.add_node(NodeKind.STORE, volatile=True, block=entry)
     g.add_edge(store, addr, DF, 0)
     g.add_edge(store, c, DF, 1)
+    quiet_store = g.add_node(NodeKind.STORE, block=entry)
+    g.add_edge(quiet_store, addr, DF, 0)
+    g.add_edge(quiet_store, c, DF, 1)
 
     assert remove_unused_node(g, vol) is False  # volatile loads stay
     assert remove_unused_node(g, store) is False  # stores stay
+    assert remove_unused_node(g, quiet_store) is False  # non-volatile ones too
     assert remove_unused_node(g, c) is False  # the store reads it
     assert remove_unused_node(g, plain) is True
     assert remove_unused_node(g, addr) is False  # vol and store read it

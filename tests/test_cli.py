@@ -151,6 +151,17 @@ def test_exec_rejects_malformed_inputs(tmp_path, capsys):
     assert "id=value" in capsys.readouterr().err
 
 
+def test_exec_rejects_out_of_range_inputs(tmp_path, capsys):
+    g, names = build_div_graph()
+    src = tmp_path / "div.json"
+    save(g, src)
+    for value in (2**40, 2**31, -(2**31) - 1):
+        assert main(["exec", str(src), "--inputs", f"{names['x']}={value},{names['d']}=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: input {value} for node {names['x']} is not a 32-bit")
+        assert "Traceback" not in err
+
+
 def test_missing_file_is_exit_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -193,6 +204,12 @@ def test_isel_on_lowered_graph_is_exit_3(tmp_path, capsys):
 def test_gen_rejects_impossible_shapes(tmp_path, capsys):
     assert main(["gen", "--blocks", "1", "-o", str(tmp_path / "g.json")]) == 2
     assert "at least 2 blocks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["inf", "1e400", "1,-inf", "nan", "two", ","])
+def test_bench_rejects_bad_sizes(tmp_path, capsys, sizes):
+    assert main(["bench", "--sizes", sizes, "-o", str(tmp_path / "b.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bench_writes_csv(tmp_path, capsys):

@@ -94,6 +94,14 @@ def test_volatile_load_needs_an_input():
         execute(g, {names["x"]: 1})
 
 
+def test_inputs_must_be_32_bit_integers():
+    g, names = build_div_graph()
+    for bad in (2**40, 2**31, -(2**31) - 1, 1.0, True, "3", None):
+        with pytest.raises(InterpreterError, match="not a 32-bit signed integer"):
+            execute(g, {names["x"]: bad, names["d"]: 1})
+    assert execute(g, {names["x"]: -(2**31), names["d"]: 2**31 - 1}).value == -1
+
+
 def test_non_volatile_load_reads_zero():
     g, entry, _ = func_graph()
     addr = g.add_node(NodeKind.CONST, value=123, block=entry)

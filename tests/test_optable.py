@@ -40,6 +40,8 @@ SETS = {
     "RELATION_KINDS": "Cmp TargetCmp TargetCmpI".split(),
     "MEMORY_KINDS": "Load Store TargetLoad TargetStore".split(),
     "ANCHOR_KINDS": "Block Start End".split(),
+    # What cleanup may delete when unused (a Load only when not volatile).
+    "PURE_KINDS": "Const Not Phi Load Add Sub Mul Div Mod And Or Xor Shl Shr Cmp".split(),
 }
 
 ARITY = {
