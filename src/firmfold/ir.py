@@ -108,7 +108,8 @@ class Relation(Enum):
     GREATER_EQUAL = "GreaterEqual"
 
 
-# Role bits: the structural part a kind plays.
+# Role bits: the structural part a kind plays. Anchors (Block, Start,
+# End) are never retyped and never swept as unreachable nodes.
 ROLE_ANCHOR, ROLE_TRANSFER, ROLE_PHI, ROLE_COND, ROLE_START, ROLE_END = 1, 2, 4, 8, 16, 32
 _ROLE_OF_TRAIT = {
     "anchor": ROLE_ANCHOR,
