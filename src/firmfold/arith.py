@@ -16,6 +16,16 @@ INT_MAX = 2**31 - 1
 _U32 = 1 << 32
 _SIGN = 1 << 31
 
+# Enum members as module globals: see the note in ir.
+_ADD, _SUB, _MUL, _DIV, _MOD = NodeKind.ADD, NodeKind.SUB, NodeKind.MUL, NodeKind.DIV, NodeKind.MOD
+_AND, _OR, _XOR, _SHL, _SHR, _CMP = (
+    NodeKind.AND, NodeKind.OR, NodeKind.XOR, NodeKind.SHL, NodeKind.SHR, NodeKind.CMP
+)
+_EQUAL, _NOT_EQUAL, _LESS = Relation.EQUAL, Relation.NOT_EQUAL, Relation.LESS
+_LESS_EQUAL, _GREATER, _GREATER_EQUAL = (
+    Relation.LESS_EQUAL, Relation.GREATER, Relation.GREATER_EQUAL
+)
+
 
 def wrap32(x: int) -> int:
     """Reduce an arbitrary integer into signed 32-bit range."""
@@ -36,17 +46,17 @@ def trunc_mod(a: int, b: int) -> int:
 
 
 def relation_holds(rel: Relation, a: int, b: int) -> bool:
-    if rel is Relation.EQUAL:
+    if rel is _EQUAL:
         return a == b
-    if rel is Relation.NOT_EQUAL:
+    if rel is _NOT_EQUAL:
         return a != b
-    if rel is Relation.LESS:
+    if rel is _LESS:
         return a < b
-    if rel is Relation.LESS_EQUAL:
+    if rel is _LESS_EQUAL:
         return a <= b
-    if rel is Relation.GREATER:
+    if rel is _GREATER:
         return a > b
-    if rel is Relation.GREATER_EQUAL:
+    if rel is _GREATER_EQUAL:
         return a >= b
     raise ValueError(f"unknown relation {rel!r}")
 
@@ -61,32 +71,32 @@ def apply_binary(kind: NodeKind, a: int, b: int, relation: Relation | None = Non
     Returns None for division or remainder by zero; those never fold and
     the interpreter turns them into a trap.
     """
-    if kind is NodeKind.ADD:
+    if kind is _ADD:
         return wrap32(a + b)
-    if kind is NodeKind.SUB:
+    if kind is _SUB:
         return wrap32(a - b)
-    if kind is NodeKind.MUL:
+    if kind is _MUL:
         return wrap32(a * b)
-    if kind is NodeKind.DIV:
+    if kind is _DIV:
         if b == 0:
             return None
         return wrap32(trunc_div(a, b))
-    if kind is NodeKind.MOD:
+    if kind is _MOD:
         if b == 0:
             return None
         return wrap32(trunc_mod(a, b))
-    if kind is NodeKind.AND:
+    if kind is _AND:
         return wrap32(a & b)
-    if kind is NodeKind.OR:
+    if kind is _OR:
         return wrap32(a | b)
-    if kind is NodeKind.XOR:
+    if kind is _XOR:
         return wrap32(a ^ b)
-    if kind is NodeKind.SHL:
+    if kind is _SHL:
         return wrap32(a << (b % 32))
-    if kind is NodeKind.SHR:
+    if kind is _SHR:
         # Python's >> on a signed int is already an arithmetic shift.
         return a >> (b % 32)
-    if kind is NodeKind.CMP:
+    if kind is _CMP:
         if relation is None:
             raise ValueError("Cmp needs a relation")
         return 1 if relation_holds(relation, a, b) else 0

@@ -18,6 +18,13 @@ from .ir import ANCHOR_KINDS, COMMUTATIVE_KINDS, PURE_KINDS, EdgeKind, FirmGraph
 from .verifier import verify
 from . import constfold
 
+# Enum members as module globals: see the note in ir.
+_BLOCK, _JMP, _COND, _PHI, _CONST = (
+    NodeKind.BLOCK, NodeKind.JMP, NodeKind.COND, NodeKind.PHI, NodeKind.CONST
+)
+_DATAFLOW, _CONTROLFLOW = EdgeKind.DATAFLOW, EdgeKind.CONTROLFLOW
+_TRUE, _FALSE = EdgeKind.TRUE, EdgeKind.FALSE
+
 
 def fold_cond(g: FirmGraph, nid: int) -> bool:
     """A Cond over a Const takes one branch statically.
@@ -26,16 +33,16 @@ def fold_cond(g: FirmGraph, nid: int) -> bool:
     plain Controlflow edge, and the node itself becomes a Jmp (dropping
     its operand edge).
     """
-    if nid not in g or g.node(nid).kind is not NodeKind.COND:
+    if nid not in g or g.node(nid).kind is not _COND:
         return False
     op_edges = g.operand_edges(nid)
     if len(op_edges) != 1:
         return False
     operand = g.node(op_edges[0].dst)
-    if operand.kind is not NodeKind.CONST:
+    if operand.kind is not _CONST:
         return False
-    true_edges = g.in_edges(nid, EdgeKind.TRUE)
-    false_edges = g.in_edges(nid, EdgeKind.FALSE)
+    true_edges = g.in_edges(nid, _TRUE)
+    false_edges = g.in_edges(nid, _FALSE)
     if len(true_edges) != 1 or len(false_edges) != 1:
         return False
     if operand.value != 0:
@@ -43,8 +50,8 @@ def fold_cond(g: FirmGraph, nid: int) -> bool:
     else:
         taken, untaken = false_edges[0], true_edges[0]
     g.delete_edge(untaken)
-    g.retype_edge(taken, EdgeKind.CONTROLFLOW)
-    g.retype_node(nid, NodeKind.JMP)
+    g.retype_edge(taken, _CONTROLFLOW)
+    g.retype_node(nid, _JMP)
     g.delete_edge(op_edges[0])
     return True
 
@@ -52,10 +59,10 @@ def fold_cond(g: FirmGraph, nid: int) -> bool:
 def remove_unreachable_block(g: FirmGraph, nid: int) -> bool:
     """Delete a block that no control edge can reach.
 
-    Members lose their BlockEdge and are left for unreachable-node
-    removal; the start and end blocks are never touched.
+    Members are left without a block, for unreachable-node removal; the
+    start and end blocks are never touched.
     """
-    if nid not in g or g.node(nid).kind is not NodeKind.BLOCK:
+    if nid not in g or g.node(nid).kind is not _BLOCK:
         return False
     if nid == g.start_block or nid == g.end_block:
         return False
@@ -70,19 +77,15 @@ def remove_unreachable_node(g: FirmGraph, nid: int) -> bool:
     if nid not in g:
         return False
     node = g.node(nid)
-    if node.kind in ANCHOR_KINDS:
+    if node.kind in ANCHOR_KINDS or node.block is not None:
         return False
-    try:
-        g.block_of(nid)
-    except NoBlockError:
-        g.delete_node(nid)
-        return True
-    return False
+    g.delete_node(nid)
+    return True
 
 
 def remove_unreachable_phi_operand(g: FirmGraph, nid: int) -> bool:
     """Drop Phi operands whose position no longer names a predecessor."""
-    if nid not in g or g.node(nid).kind is not NodeKind.PHI:
+    if nid not in g or g.node(nid).kind is not _PHI:
         return False
     try:
         block = g.block_of(nid)
@@ -101,7 +104,7 @@ def fix_edge_position(g: FirmGraph, block: int) -> bool:
     """Renumber a block's predecessor positions to 0..k-1, keeping order,
     and remap the operands of its Phis the same way."""
     node = g.node(block)
-    if node.kind is not NodeKind.BLOCK:
+    if node.kind is not _BLOCK:
         raise GraphError(f"fix_edge_position expects a Block, got {node.kind.value}")
     ctrl = g.control_in_edges(block)
     mapping: dict[int, int] = {}
@@ -112,7 +115,7 @@ def fix_edge_position(g: FirmGraph, block: int) -> bool:
             changed = True
     if not changed:
         return False
-    phis = [m for m in g.members_of(block) if g.node(m).kind is NodeKind.PHI]
+    phis = [m for m in g.members_of(block) if g.node(m).kind is _PHI]
     for i, e in enumerate(ctrl):
         e.position = i
     for phi in phis:
@@ -124,7 +127,7 @@ def fix_edge_position(g: FirmGraph, block: int) -> bool:
 
 def simplify_trivial_phi(g: FirmGraph, nid: int) -> bool:
     """Replace a single-operand Phi with that operand."""
-    if nid not in g or g.node(nid).kind is not NodeKind.PHI:
+    if nid not in g or g.node(nid).kind is not _PHI:
         return False
     ops = g.operands_of(nid)
     if len(ops) != 1:
@@ -150,7 +153,7 @@ def remove_unused_node(g: FirmGraph, nid: int) -> bool:
     """
     if nid not in g or not _is_removable_when_unused(g, nid):
         return False
-    if g.in_edges(nid, EdgeKind.DATAFLOW):
+    if g.in_edges(nid, _DATAFLOW):
         return False
     g.delete_node(nid)
     return True
@@ -165,15 +168,15 @@ def merge_blocks(g: FirmGraph, nid: int) -> bool:
     positions change. Blocks containing Phis and the start/end anchors
     are left alone.
     """
-    if nid not in g or g.node(nid).kind is not NodeKind.BLOCK:
+    if nid not in g or g.node(nid).kind is not _BLOCK:
         return False
     if nid == g.start_block or nid == g.end_block:
         return False
     ctrl = g.control_in_edges(nid)
-    if len(ctrl) != 1 or ctrl[0].kind is not EdgeKind.CONTROLFLOW:
+    if len(ctrl) != 1 or ctrl[0].kind is not _CONTROLFLOW:
         return False
     jmp = ctrl[0].dst
-    if jmp not in g or g.node(jmp).kind is not NodeKind.JMP:
+    if jmp not in g or g.node(jmp).kind is not _JMP:
         return False
     try:
         home = g.block_of(jmp)
@@ -182,10 +185,9 @@ def merge_blocks(g: FirmGraph, nid: int) -> bool:
     if home == nid:
         return False
     members = g.members_of(nid)
-    if any(g.node(m).kind is NodeKind.PHI for m in members):
+    if any(g.node(m).kind is _PHI for m in members):
         return False
-    for e in g.in_edges(nid, EdgeKind.BLOCK):
-        g.retarget_edge(e, home)
+    g.move_members(nid, home)
     g.delete_node(jmp)
     g.delete_node(nid)
     return True
@@ -222,9 +224,9 @@ def _exhaust_unused(g: FirmGraph) -> bool:
         queued.discard(nid)
         if nid not in g or not _is_removable_when_unused(g, nid):
             continue
-        if g.in_edges(nid, EdgeKind.DATAFLOW):
+        if g.in_edges(nid, _DATAFLOW):
             continue
-        operands = [e.dst for e in g.out_edges(nid, EdgeKind.DATAFLOW)]
+        operands = [e.dst for e in g.out_edges(nid, _DATAFLOW)]
         g.delete_node(nid)
         fired = True
         for dst in operands:
@@ -254,15 +256,15 @@ def cleanup_round(g: FirmGraph) -> bool:
     and block merging runs last over the settled shape.
     """
     changed = False
-    changed |= _exhaust(g, fold_cond, NodeKind.COND)
-    changed |= _exhaust(g, remove_unreachable_block, NodeKind.BLOCK)
+    changed |= _exhaust(g, fold_cond, _COND)
+    changed |= _exhaust(g, remove_unreachable_block, _BLOCK)
     changed |= _exhaust(g, remove_unreachable_node, None)
-    changed |= _exhaust(g, remove_unreachable_phi_operand, NodeKind.PHI)
-    changed |= _exhaust(g, fix_edge_position, NodeKind.BLOCK)
-    changed |= _exhaust(g, simplify_trivial_phi, NodeKind.PHI)
+    changed |= _exhaust(g, remove_unreachable_phi_operand, _PHI)
+    changed |= _exhaust(g, fix_edge_position, _BLOCK)
+    changed |= _exhaust(g, simplify_trivial_phi, _PHI)
     changed |= _exhaust_assoc_comm(g)
     changed |= _exhaust_unused(g)
-    changed |= _exhaust(g, merge_blocks, NodeKind.BLOCK)
+    changed |= _exhaust(g, merge_blocks, _BLOCK)
     return changed
 
 

@@ -142,9 +142,12 @@ def _parse_sizes(text: str) -> list[int]:
         if not part:
             continue
         try:
-            sizes.append(int(float(part)))
+            size = int(float(part))
         except (ValueError, OverflowError):
             raise FormatError(f"bad size {part!r} in --sizes") from None
+        if size < 1:
+            raise FormatError(f"bad size {part!r} in --sizes: a size is at least 1 node")
+        sizes.append(size)
     if not sizes:
         raise FormatError("--sizes needs at least one size")
     return sizes
@@ -153,7 +156,7 @@ def _parse_sizes(text: str) -> list[int]:
 def _best_of(repeat: int, graph, pass_fn) -> tuple[float, object]:
     best = None
     result = None
-    for _ in range(max(1, repeat)):
+    for _ in range(repeat):
         work = graph.copy()
         t0 = time.perf_counter()
         pass_fn(work)
@@ -166,8 +169,11 @@ def _best_of(repeat: int, graph, pass_fn) -> tuple[float, object]:
 
 def _cmd_bench(args) -> int:
     seed = _seed(args)
+    sizes = _parse_sizes(args.sizes)
+    if args.repeat < 1:
+        raise FormatError(f"--repeat must be at least 1, got {args.repeat}")
     rows = []
-    for size in _parse_sizes(args.sizes):
+    for size in sizes:
         g = generate(seed, spec_for_nodes(size))
         fold_ms, folded = _best_of(args.repeat, g, optimize)
         isel_ms, lowered = _best_of(args.repeat, folded, run_instruction_selection)

@@ -17,6 +17,10 @@ from .arith import apply_binary, apply_not
 from .errors import GraphError, NoBlockError
 from .ir import BINARY_KINDS, COMMUTATIVE_KINDS, EdgeKind, FirmGraph, NodeKind
 
+# Enum members as module globals: see the note in ir.
+_CONST, _NOT, _PHI = NodeKind.CONST, NodeKind.NOT, NodeKind.PHI
+_DATAFLOW = EdgeKind.DATAFLOW
+
 
 class Worklist:
     """Two node-id sets with O(1) swap, reusing the cleared set."""
@@ -38,14 +42,14 @@ def collect_const_users(g: FirmGraph, const: int | None, into: set[int]) -> bool
     Returns True when the set actually grew.
     """
     if const is None:
-        sources = [nid for nid, n in g.items() if n.kind is NodeKind.CONST]
+        sources = [nid for nid, n in g.items() if n.kind is _CONST]
     else:
-        if const not in g or g.node(const).kind is not NodeKind.CONST:
+        if const not in g or g.node(const).kind is not _CONST:
             raise GraphError(f"node {const} is not a live Const")
         sources = [const]
     before = len(into)
     for c in sources:
-        for e in g.in_edges(c, EdgeKind.DATAFLOW):
+        for e in g.in_edges(c, _DATAFLOW):
             into.add(e.src)
     return len(into) > before
 
@@ -55,7 +59,7 @@ def _replace_with_const(g: FirmGraph, nid: int, value: int) -> int | None:
         block = g.block_of(nid)
     except NoBlockError:
         return None
-    const = g.add_node(NodeKind.CONST, value=value, block=block)
+    const = g.add_node(_CONST, value=value, block=block)
     g.redirect_users(nid, const)
     g.delete_node(nid)
     return const
@@ -63,13 +67,13 @@ def _replace_with_const(g: FirmGraph, nid: int, value: int) -> int | None:
 
 def fold_not(g: FirmGraph, nid: int) -> int | None:
     """Not(Const) becomes a Const in the same block. Users follow."""
-    if nid not in g or g.node(nid).kind is not NodeKind.NOT:
+    if nid not in g or g.node(nid).kind is not _NOT:
         return None
     ops = g.operands_of(nid)
     if len(ops) != 1 or ops[0][1] != 0:
         return None
     operand = g.node(ops[0][0])
-    if operand.kind is not NodeKind.CONST:
+    if operand.kind is not _CONST:
         return None
     return _replace_with_const(g, nid, apply_not(operand.value))
 
@@ -90,7 +94,7 @@ def fold_binary(g: FirmGraph, nid: int) -> int | None:
         return None
     a = g.node(ops[0][0])
     b = g.node(ops[1][0])
-    if a.kind is not NodeKind.CONST or b.kind is not NodeKind.CONST:
+    if a.kind is not _CONST or b.kind is not _CONST:
         return None
     value = apply_binary(node.kind, a.value, b.value, node.relation)
     if value is None:
@@ -101,13 +105,13 @@ def fold_binary(g: FirmGraph, nid: int) -> int | None:
 def fold_phi(g: FirmGraph, nid: int) -> int | None:
     """A Phi whose operands are one single Const (plus optional self
     references) is that Const. Existing users are redirected to it."""
-    if nid not in g or g.node(nid).kind is not NodeKind.PHI:
+    if nid not in g or g.node(nid).kind is not _PHI:
         return None
     const: int | None = None
     for target, _pos in g.operands_of(nid):
         if target == nid:
             continue
-        if g.node(target).kind is not NodeKind.CONST:
+        if g.node(target).kind is not _CONST:
             return None
         if const is None:
             const = target
@@ -138,10 +142,10 @@ def fold_assoc_comm(g: FirmGraph, nid: int) -> int | None:
     if len(edges) != 2 or edges[0].position != 0 or edges[1].position != 1:
         return None
     kinds = [g.node(e.dst).kind for e in edges]
-    if kinds.count(NodeKind.CONST) != 1:
+    if kinds.count(_CONST) != 1:
         return None
-    const_edge = edges[0] if kinds[0] is NodeKind.CONST else edges[1]
-    inner_edge = edges[1] if kinds[0] is NodeKind.CONST else edges[0]
+    const_edge = edges[0] if kinds[0] is _CONST else edges[1]
+    inner_edge = edges[1] if kinds[0] is _CONST else edges[0]
     inner = inner_edge.dst
     if inner == nid or g.node(inner).kind is not kind:
         return None
@@ -149,10 +153,10 @@ def fold_assoc_comm(g: FirmGraph, nid: int) -> int | None:
     if len(inner_edges) != 2 or inner_edges[0].position != 0 or inner_edges[1].position != 1:
         return None
     inner_kinds = [g.node(e.dst).kind for e in inner_edges]
-    if inner_kinds.count(NodeKind.CONST) != 1:
+    if inner_kinds.count(_CONST) != 1:
         return None
-    c1_edge = inner_edges[0] if inner_kinds[0] is NodeKind.CONST else inner_edges[1]
-    x_edge = inner_edges[1] if inner_kinds[0] is NodeKind.CONST else inner_edges[0]
+    c1_edge = inner_edges[0] if inner_kinds[0] is _CONST else inner_edges[1]
+    x_edge = inner_edges[1] if inner_kinds[0] is _CONST else inner_edges[0]
     x = x_edge.dst
     if x == nid:
         return None
@@ -161,7 +165,7 @@ def fold_assoc_comm(g: FirmGraph, nid: int) -> int | None:
     except NoBlockError:
         return None
     value = apply_binary(kind, g.node(c1_edge.dst).value, g.node(const_edge.dst).value)
-    c3 = g.add_node(NodeKind.CONST, value=value, block=block)
+    c3 = g.add_node(_CONST, value=value, block=block)
     g.retarget_edge(inner_edge, x)
     inner_edge.position = 0
     g.retarget_edge(const_edge, c3)

@@ -11,7 +11,7 @@ class GraphError(FirmfoldError):
 
 
 class NoBlockError(GraphError):
-    """Raised by block_of() when a node carries no block membership edge."""
+    """Raised by block_of() when a node has no containing block."""
 
 
 class FormatError(FirmfoldError):

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, NoBlockError
+from .errors import FormatError
 from .ir import (
     COMMUTATIVE_KINDS,
     IMMEDIATE_TARGET_OF,
@@ -30,8 +30,19 @@ from .ir import (
 _NODE_KEYS = frozenset({"id", "kind", "value", "relation", "volatile", "block"})
 _EDGE_KEYS = frozenset({"src", "dst", "kind", "position"})
 _NODE_KIND_NAMED = {k.value: k for k in NodeKind}
-_EDGE_KIND_NAMED = {k.value: k for k in EdgeKind if k is not EdgeKind.BLOCK}
+_EDGE_KIND_NAMED = {k.value: k for k in EdgeKind}
 _RELATION_NAMED = {r.value: r for r in Relation}
+# The Firm model's name for a containment edge. The format writes
+# containment as the node's "block" field, and DOT draws it as an arrow.
+_BLOCK_EDGE = "BlockEdge"
+
+# Enum members as module globals: see the note in ir.
+_BLOCK, _START, _END, _RETURN = NodeKind.BLOCK, NodeKind.START, NodeKind.END, NodeKind.RETURN
+_JMP, _COND, _PHI, _CONST = NodeKind.JMP, NodeKind.COND, NodeKind.PHI, NodeKind.CONST
+_NOT, _ADD, _CMP, _LOAD = NodeKind.NOT, NodeKind.ADD, NodeKind.CMP, NodeKind.LOAD
+_DATAFLOW, _CONTROLFLOW = EdgeKind.DATAFLOW, EdgeKind.CONTROLFLOW
+_TRUE, _FALSE = EdgeKind.TRUE, EdgeKind.FALSE
+_LESS = Relation.LESS
 
 
 # -- JSON ------------------------------------------------------------------
@@ -48,9 +59,8 @@ def from_payload(data) -> FirmGraph:
 
     A FormatError names the first bad item, checking the nodes in file
     order, then their "block" fields in node order, then the edges, then
-    "start" and "end". The node table keeps the file's order; each
-    incidence list holds the BlockEdges first, then the file's edges in
-    file order.
+    "start" and "end". The node table keeps the file's order, and each
+    incidence list holds the file's edges in file order.
     """
     if not isinstance(data, dict):
         raise FormatError("top level must be a JSON object")
@@ -63,9 +73,7 @@ def from_payload(data) -> FirmGraph:
     if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
         raise FormatError("'nodes' and 'edges' must be arrays")
 
-    block_kind = NodeKind.BLOCK
     nodes: dict[int, Node] = {}
-    edges: list[Edge] = []
     for i, item in enumerate(data["nodes"]):
         if not isinstance(item, dict):
             raise FormatError(f"nodes[{i}]: must be an object")
@@ -96,25 +104,25 @@ def from_payload(data) -> FirmGraph:
                 raise FormatError(f"nodes[{i}]: 'volatile' must be a boolean")
         if nid in nodes:
             raise FormatError(f"nodes[{i}]: duplicate node id {nid}")
-        nodes[nid] = Node(kind, value, relation, volatile)
-        if "block" in item:
-            block = item["block"]
-            if type(block) is not int:
-                raise FormatError(f"nodes[{i}]: 'block' must be an integer")
-            edges.append(Edge(nid, block, EdgeKind.BLOCK, None))
+        block = item.get("block")
+        if type(block) is not int and "block" in item:
+            raise FormatError(f"nodes[{i}]: 'block' must be an integer")
+        nodes[nid] = Node(kind, value, relation, volatile, block)
 
-    for e in edges:
-        target = nodes.get(e.dst)
-        if target is None or target.kind is not block_kind or nodes[e.src].kind is block_kind:
+    for nid, n in nodes.items():
+        if n.block is None:
+            continue
+        target = nodes.get(n.block)
+        if target is None or target.kind is not _BLOCK or n.kind is _BLOCK:
             # Every node item made it into the table, so its rank is its index.
-            ctx = f"nodes[{list(nodes).index(e.src)}]"
+            ctx = f"nodes[{list(nodes).index(nid)}]"
             if target is None:
-                raise FormatError(f"{ctx}: unknown node id {e.dst}")
-            if nodes[e.src].kind is block_kind:
-                raise FormatError(f"{ctx}: a Block cannot have a BlockEdge")
-            raise FormatError(f"{ctx}: BlockEdge target {e.dst} is not a Block")
+                raise FormatError(f"{ctx}: unknown node id {n.block}")
+            if n.kind is _BLOCK:
+                raise FormatError(f"{ctx}: a Block is not contained in a block")
+            raise FormatError(f"{ctx}: containing block {n.block} is not a Block")
 
-    dataflow = EdgeKind.DATAFLOW
+    edges: list[Edge] = []
     for i, item in enumerate(data["edges"]):
         if not isinstance(item, dict):
             raise FormatError(f"edges[{i}]: must be an object")
@@ -130,7 +138,7 @@ def from_payload(data) -> FirmGraph:
         try:
             kind = _EDGE_KIND_NAMED[name]
         except (KeyError, TypeError):
-            if name == EdgeKind.BLOCK.value:
+            if name == _BLOCK_EDGE:
                 raise FormatError(
                     f"edges[{i}]: containment is written as the node's 'block' field, "
                     "not as an explicit edge"
@@ -146,7 +154,7 @@ def from_payload(data) -> FirmGraph:
             raise FormatError(f"edges[{i}]: unknown node id {dst}")
         if position is None or position < 0:
             raise FormatError(f"edges[{i}]: {kind.value} edge needs a position >= 0")
-        if kind is not dataflow and src_node.kind is not block_kind:
+        if kind is not _DATAFLOW and src_node.kind is not _BLOCK:
             raise FormatError(
                 f"edges[{i}]: {kind.value} edge must start at the target Block, "
                 f"not at a {src_node.kind.value}"
@@ -190,20 +198,11 @@ def _ref(nid: int | None) -> str:
 def to_json(g: FirmGraph) -> str:
     """The canonical text: nodes by id, edges by (src, kind, position, dst).
 
-    Containment is the node's "block" field: the first BlockEdge in its
-    out-list, as block_of() reads it.
+    Containment is the node's "block" field.
     """
-    block_edge = EdgeKind.BLOCK
-    nodes, out = g._nodes, g._out
+    nodes = g._nodes
     items = []
-    plain = []
     for nid in sorted(nodes):
-        block = None
-        for e in out[nid]:
-            if e.kind is not block_edge:
-                plain.append((e.src, e.kind.value, e.position, e.dst))
-            elif block is None:
-                block = e.dst
         n = nodes[nid]
         item = _NODE_HEAD % (nid, n.kind.value)
         if n.value is not None:
@@ -212,8 +211,8 @@ def to_json(g: FirmGraph) -> str:
             item += _NODE_RELATION % n.relation.value
         if n.volatile is not None:
             item += _NODE_VOLATILE[n.volatile]
-        items.append(item + ("\n    }" if block is None else _NODE_BLOCK % block))
-    plain.sort()
+        items.append(item + ("\n    }" if n.block is None else _NODE_BLOCK % n.block))
+    plain = sorted((e.src, e.kind.value, e.position, e.dst) for e in g.edges())
     edges = [_EDGE % (src, dst, kind, pos) for src, kind, pos, dst in plain]
     return (
         f'{{\n  "nodes": {_array(items)},\n  "edges": {_array(edges)},\n'
@@ -249,12 +248,13 @@ def save(g: FirmGraph, path) -> None:
 
 # -- DOT -------------------------------------------------------------------
 
+# By edge kind name; containment is drawn as a dotted arrow to the Block.
 _EDGE_STYLE = {
-    EdgeKind.DATAFLOW: "color=black",
-    EdgeKind.CONTROLFLOW: "color=blue, style=bold",
-    EdgeKind.TRUE: "color=darkgreen, style=bold",
-    EdgeKind.FALSE: "color=red, style=bold",
-    EdgeKind.BLOCK: "color=gray60, style=dotted, arrowhead=none",
+    EdgeKind.DATAFLOW.value: "color=black",
+    EdgeKind.CONTROLFLOW.value: "color=blue, style=bold",
+    EdgeKind.TRUE.value: "color=darkgreen, style=bold",
+    EdgeKind.FALSE.value: "color=red, style=bold",
+    _BLOCK_EDGE: "color=gray60, style=dotted, arrowhead=none",
 }
 
 
@@ -285,13 +285,12 @@ def to_dot(g: FirmGraph, highlights=frozenset()) -> str:
     floating: list[int] = []
     blocks: list[int] = []
     for nid, n in g.items():
-        if n.kind is NodeKind.BLOCK:
+        if n.kind is _BLOCK:
             blocks.append(nid)
-            continue
-        try:
-            in_block.setdefault(g.block_of(nid), []).append(nid)
-        except NoBlockError:
+        elif n.block is None:
             floating.append(nid)
+        else:
+            in_block.setdefault(n.block, []).append(nid)
     for b in blocks:
         lines.append(f"  subgraph cluster_{b} {{")
         lines.append(f'    label="Block {b}";')
@@ -303,19 +302,12 @@ def to_dot(g: FirmGraph, highlights=frozenset()) -> str:
         lines.append("  }")
     for nid in floating:
         lines.append("  " + _node_line(g, nid, highlights))
-    drawn = sorted(
-        g.edges(),
-        key=lambda e: (
-            e.src,
-            e.kind.value,
-            -1 if e.position is None else e.position,
-            e.dst,
-        ),
-    )
-    for e in drawn:
-        style = _EDGE_STYLE[e.kind]
-        label = "" if e.position is None else f'label="{e.position}", '
-        lines.append(f"  n{e.src} -> n{e.dst} [{label}{style}];")
+    drawn = [(e.src, e.kind.value, e.position, e.dst) for e in g.edges()]
+    drawn += [(nid, _BLOCK_EDGE, None, n.block) for nid, n in g.items() if n.block is not None]
+    drawn.sort(key=lambda a: (a[0], a[1], -1 if a[2] is None else a[2], a[3]))
+    for src, kind, position, dst in drawn:
+        label = "" if position is None else f'label="{position}", '
+        lines.append(f"  n{src} -> n{dst} [{label}{_EDGE_STYLE[kind]}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -372,7 +364,7 @@ class _Generator:
     def const(self, value: int) -> int:
         nid = self.consts.get(value)
         if nid is None:
-            nid = self.g.add_node(NodeKind.CONST, value=value, block=self.entry)
+            nid = self.g.add_node(_CONST, value=value, block=self.entry)
             self.consts[value] = nid
             self.dyn[nid] = False
         return nid
@@ -397,20 +389,20 @@ class _Generator:
         r = rng.random()
         if r < 0.05 and pool:
             a = self.pick(pool)
-            nid = self.g.add_node(NodeKind.NOT, block=block)
-            self.g.add_edge(nid, a, EdgeKind.DATAFLOW, 0)
+            nid = self.g.add_node(_NOT, block=block)
+            self.g.add_edge(nid, a, _DATAFLOW, 0)
             self.dyn[nid] = self.dyn[a]
         else:
             if r < 0.11:
-                kind = NodeKind.CMP
+                kind = _CMP
                 relation = rng.choice(_RELATIONS)
             else:
                 kind = rng.choice(_BINARY_PALETTE)
                 relation = None
             a, b = self._ordered(kind, self.pick(pool), self.pick(pool))
             nid = self.g.add_node(kind, relation=relation, block=block)
-            self.g.add_edge(nid, a, EdgeKind.DATAFLOW, 0)
-            self.g.add_edge(nid, b, EdgeKind.DATAFLOW, 1)
+            self.g.add_edge(nid, a, _DATAFLOW, 0)
+            self.g.add_edge(nid, b, _DATAFLOW, 1)
             self.dyn[nid] = self.dyn[a] or self.dyn[b]
         pool.append(nid)
 
@@ -423,38 +415,38 @@ class _Generator:
             self.emit_op(block, pool)
 
     def emit_chain(self, cur: int, pool: list[int]) -> int:
-        nxt = self.g.add_node(NodeKind.BLOCK)
-        jmp = self.g.add_node(NodeKind.JMP, block=cur)
-        self.g.add_edge(nxt, jmp, EdgeKind.CONTROLFLOW, 0)
+        nxt = self.g.add_node(_BLOCK)
+        jmp = self.g.add_node(_JMP, block=cur)
+        self.g.add_edge(nxt, jmp, _CONTROLFLOW, 0)
         return nxt
 
     def emit_diamond(self, cur: int, pool: list[int]) -> int:
         g, rng = self.g, self.rng
         if rng.random() < 0.8:
-            a, b = self._ordered(NodeKind.CMP, self.pick(pool), self.pick(pool))
+            a, b = self._ordered(_CMP, self.pick(pool), self.pick(pool))
             cond_val = g.add_node(
-                NodeKind.CMP, relation=rng.choice(_RELATIONS), block=cur
+                _CMP, relation=rng.choice(_RELATIONS), block=cur
             )
-            g.add_edge(cond_val, a, EdgeKind.DATAFLOW, 0)
-            g.add_edge(cond_val, b, EdgeKind.DATAFLOW, 1)
+            g.add_edge(cond_val, a, _DATAFLOW, 0)
+            g.add_edge(cond_val, b, _DATAFLOW, 1)
             self.dyn[cond_val] = self.dyn[a] or self.dyn[b]
         else:
             cond_val = self.pick(pool)
-        cond = g.add_node(NodeKind.COND, block=cur)
-        g.add_edge(cond, cond_val, EdgeKind.DATAFLOW, 0)
-        then_b = g.add_node(NodeKind.BLOCK)
-        else_b = g.add_node(NodeKind.BLOCK)
-        g.add_edge(then_b, cond, EdgeKind.TRUE, 0)
-        g.add_edge(else_b, cond, EdgeKind.FALSE, 0)
+        cond = g.add_node(_COND, block=cur)
+        g.add_edge(cond, cond_val, _DATAFLOW, 0)
+        then_b = g.add_node(_BLOCK)
+        else_b = g.add_node(_BLOCK)
+        g.add_edge(then_b, cond, _TRUE, 0)
+        g.add_edge(else_b, cond, _FALSE, 0)
         then_pool = list(pool)
         self.emit_ops(then_b, then_pool)
         else_pool = list(pool)
         self.emit_ops(else_b, else_pool)
-        then_jmp = g.add_node(NodeKind.JMP, block=then_b)
-        else_jmp = g.add_node(NodeKind.JMP, block=else_b)
-        join = g.add_node(NodeKind.BLOCK)
-        g.add_edge(join, then_jmp, EdgeKind.CONTROLFLOW, 0)
-        g.add_edge(join, else_jmp, EdgeKind.CONTROLFLOW, 1)
+        then_jmp = g.add_node(_JMP, block=then_b)
+        else_jmp = g.add_node(_JMP, block=else_b)
+        join = g.add_node(_BLOCK)
+        g.add_edge(join, then_jmp, _CONTROLFLOW, 0)
+        g.add_edge(join, else_jmp, _CONTROLFLOW, 1)
         for _ in range(rng.randint(1, 2)):
             t = rng.choice(then_pool)
             if self.dyn[cond_val]:
@@ -470,9 +462,9 @@ class _Generator:
                     e = t
                 else:
                     e = self.const(self._const_value())
-            phi = g.add_node(NodeKind.PHI, block=join)
-            g.add_edge(phi, t, EdgeKind.DATAFLOW, 0)
-            g.add_edge(phi, e, EdgeKind.DATAFLOW, 1)
+            phi = g.add_node(_PHI, block=join)
+            g.add_edge(phi, t, _DATAFLOW, 0)
+            g.add_edge(phi, e, _DATAFLOW, 1)
             if t == e:
                 self.dyn[phi] = self.dyn[t]
             elif not self.dyn[cond_val]:
@@ -484,45 +476,45 @@ class _Generator:
 
     def emit_loop(self, cur: int, pool: list[int]) -> int:
         g, rng = self.g, self.rng
-        header = g.add_node(NodeKind.BLOCK)
-        body = g.add_node(NodeKind.BLOCK)
-        after = g.add_node(NodeKind.BLOCK)
-        pre_jmp = g.add_node(NodeKind.JMP, block=cur)
-        g.add_edge(header, pre_jmp, EdgeKind.CONTROLFLOW, 0)
+        header = g.add_node(_BLOCK)
+        body = g.add_node(_BLOCK)
+        after = g.add_node(_BLOCK)
+        pre_jmp = g.add_node(_JMP, block=cur)
+        g.add_edge(header, pre_jmp, _CONTROLFLOW, 0)
         iters = rng.randint(1, 6)
         c_init = self.const(0)
         c_step = self.const(1)
         c_bound = self.const(iters)
-        counter = g.add_node(NodeKind.PHI, block=header)
-        acc = g.add_node(NodeKind.PHI, block=header)
+        counter = g.add_node(_PHI, block=header)
+        acc = g.add_node(_PHI, block=header)
         self.dyn[counter] = True
         self.dyn[acc] = True
         acc_init = self.pick(pool)
-        cmp = g.add_node(NodeKind.CMP, relation=Relation.LESS, block=header)
-        g.add_edge(cmp, counter, EdgeKind.DATAFLOW, 0)
-        g.add_edge(cmp, c_bound, EdgeKind.DATAFLOW, 1)
+        cmp = g.add_node(_CMP, relation=_LESS, block=header)
+        g.add_edge(cmp, counter, _DATAFLOW, 0)
+        g.add_edge(cmp, c_bound, _DATAFLOW, 1)
         self.dyn[cmp] = True
-        cond = g.add_node(NodeKind.COND, block=header)
-        g.add_edge(cond, cmp, EdgeKind.DATAFLOW, 0)
-        g.add_edge(body, cond, EdgeKind.TRUE, 0)
-        g.add_edge(after, cond, EdgeKind.FALSE, 0)
+        cond = g.add_node(_COND, block=header)
+        g.add_edge(cond, cmp, _DATAFLOW, 0)
+        g.add_edge(body, cond, _TRUE, 0)
+        g.add_edge(after, cond, _FALSE, 0)
         body_pool = list(pool) + [counter, acc]
         self.emit_ops(body, body_pool)
-        step = g.add_node(NodeKind.ADD, block=body)
-        g.add_edge(step, counter, EdgeKind.DATAFLOW, 0)
-        g.add_edge(step, c_step, EdgeKind.DATAFLOW, 1)
+        step = g.add_node(_ADD, block=body)
+        g.add_edge(step, counter, _DATAFLOW, 0)
+        g.add_edge(step, c_step, _DATAFLOW, 1)
         self.dyn[step] = True
         acc_kind = rng.choice(_BINARY_PALETTE)
         acc_next = g.add_node(acc_kind, block=body)
-        g.add_edge(acc_next, acc, EdgeKind.DATAFLOW, 0)
-        g.add_edge(acc_next, rng.choice(body_pool), EdgeKind.DATAFLOW, 1)
+        g.add_edge(acc_next, acc, _DATAFLOW, 0)
+        g.add_edge(acc_next, rng.choice(body_pool), _DATAFLOW, 1)
         self.dyn[acc_next] = True
-        back_jmp = g.add_node(NodeKind.JMP, block=body)
-        g.add_edge(header, back_jmp, EdgeKind.CONTROLFLOW, 1)
-        g.add_edge(counter, c_init, EdgeKind.DATAFLOW, 0)
-        g.add_edge(counter, step, EdgeKind.DATAFLOW, 1)
-        g.add_edge(acc, acc_init, EdgeKind.DATAFLOW, 0)
-        g.add_edge(acc, acc_next, EdgeKind.DATAFLOW, 1)
+        back_jmp = g.add_node(_JMP, block=body)
+        g.add_edge(header, back_jmp, _CONTROLFLOW, 1)
+        g.add_edge(counter, c_init, _DATAFLOW, 0)
+        g.add_edge(counter, step, _DATAFLOW, 1)
+        g.add_edge(acc, acc_init, _DATAFLOW, 0)
+        g.add_edge(acc, acc_next, _DATAFLOW, 1)
         pool.append(counter)
         pool.append(acc)
         return after
@@ -541,18 +533,18 @@ class _Generator:
                 f"{spec.loop_count} loop(s) need {3 * spec.loop_count} blocks, "
                 f"only {budget} available"
             )
-        self.entry = g.add_node(NodeKind.BLOCK)
+        self.entry = g.add_node(_BLOCK)
         g.start_block = self.entry
-        g.add_node(NodeKind.START, block=self.entry)
-        end_block = g.add_node(NodeKind.BLOCK)
+        g.add_node(_START, block=self.entry)
+        end_block = g.add_node(_BLOCK)
         g.end_block = end_block
-        g.add_node(NodeKind.END, block=end_block)
+        g.add_node(_END, block=end_block)
 
         pool: list[int] = []
         for i in range(spec.input_count):
             addr = self.const(i)
-            load = g.add_node(NodeKind.LOAD, volatile=True, block=self.entry)
-            g.add_edge(load, addr, EdgeKind.DATAFLOW, 0)
+            load = g.add_node(_LOAD, volatile=True, block=self.entry)
+            g.add_edge(load, addr, _DATAFLOW, 0)
             self.dyn[load] = True
             pool.append(load)
 
@@ -577,9 +569,9 @@ class _Generator:
                 cur = self.emit_chain(cur, pool)
             self.emit_ops(cur, pool)
 
-        ret = g.add_node(NodeKind.RETURN, block=cur)
-        g.add_edge(ret, self.pick(pool), EdgeKind.DATAFLOW, 0)
-        g.add_edge(end_block, ret, EdgeKind.CONTROLFLOW, 0)
+        ret = g.add_node(_RETURN, block=cur)
+        g.add_edge(ret, self.pick(pool), _DATAFLOW, 0)
+        g.add_edge(end_block, ret, _CONTROLFLOW, 0)
         return g
 
 

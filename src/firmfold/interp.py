@@ -43,6 +43,11 @@ TRAP_STEP_LIMIT = "step-limit"
 # TargetXI node computes through X's entry in apply_binary.
 _OP_OF = {kind: d.op for kind, d in OPS.items()}
 
+# Enum members as module globals: see the note in ir.
+_CONST, _PHI, _NOT, _LOAD = NodeKind.CONST, NodeKind.PHI, NodeKind.NOT, NodeKind.LOAD
+_RETURN, _JMP, _COND = NodeKind.RETURN, NodeKind.JMP, NodeKind.COND
+_CONTROLFLOW, _TRUE, _FALSE = EdgeKind.CONTROLFLOW, EdgeKind.TRUE, EdgeKind.FALSE
+
 
 @dataclass
 class ExecResult:
@@ -84,7 +89,7 @@ class _Machine:
             xfer = None
             for m in self.g.members_of(block):
                 kind = self.g.node(m).kind
-                if _OP_OF[kind] is NodeKind.PHI:
+                if _OP_OF[kind] is _PHI:
                     phis.append(m)
                 elif xfer is None and kind in CONTROL_TRANSFER_KINDS:
                     xfer = m
@@ -97,8 +102,8 @@ class _Machine:
         memo = self.memo
         epoch = self.epoch
         op_of = _OP_OF
-        const_op = NodeKind.CONST
-        phi_op = NodeKind.PHI
+        const_op = _CONST
+        phi_op = _PHI
         stack = [root]
         onstack: set[int] = set()
         while stack:
@@ -155,9 +160,9 @@ class _Machine:
             if value is None:
                 raise _Trap(TRAP_DIV_BY_ZERO)
             return value
-        if op is NodeKind.NOT:
+        if op is _NOT:
             return apply_not(vals[0])
-        if op is NodeKind.LOAD:
+        if op is _LOAD:
             if node.volatile:
                 try:
                     return self.inputs[nid]
@@ -217,23 +222,23 @@ def execute(
             m._bump()
             kind = g.node(xfer).kind
             op = _OP_OF[kind]
-            if op is NodeKind.RETURN:
+            if op is _RETURN:
                 ops = g.operand_edges(xfer)
                 if len(ops) != 1:
                     raise InterpreterError(f"Return {xfer} needs exactly one operand")
                 return ExecResult(m.eval(ops[0].dst), None, m.steps)
-            if op is NodeKind.JMP:
-                succ = g.in_edges(xfer, EdgeKind.CONTROLFLOW)
+            if op is _JMP:
+                succ = g.in_edges(xfer, _CONTROLFLOW)
                 if len(succ) != 1:
                     raise InterpreterError(f"Jmp {xfer} has {len(succ)} successors")
                 cur, entry_pos = succ[0].src, succ[0].position
                 continue
-            if op is NodeKind.COND:
+            if op is _COND:
                 ops = g.operand_edges(xfer)
                 if len(ops) != 1:
                     raise InterpreterError(f"Cond {xfer} needs exactly one operand")
                 value = m.eval(ops[0].dst)
-                wanted = EdgeKind.TRUE if value != 0 else EdgeKind.FALSE
+                wanted = _TRUE if value != 0 else _FALSE
                 succ = g.in_edges(xfer, wanted)
                 if len(succ) != 1:
                     raise InterpreterError(

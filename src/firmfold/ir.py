@@ -1,6 +1,6 @@
 """Typed, attributed multigraph IR.
 
-Nodes are operations; everything else is edges:
+Nodes are operations, and edges connect them:
 
 * ``Dataflow`` edges point from a user to its operand, with ``position``
   giving the operand index.
@@ -8,8 +8,11 @@ Nodes are operations; everything else is edges:
   control-transfer node (Jmp/Cond/Return) sitting in the predecessor block.
   ``position`` is the predecessor index of the source block, which is what
   Phi operand positions line up with.
-* ``BlockEdge`` edges point from a non-Block node to the Block containing
-  it. They carry no position.
+
+Containment is not an edge. Each non-Block node's ``block`` field names
+the Block containing it, or is None once that Block is deleted, and the
+graph keeps one member set per Block. edge_count still counts each
+membership as one edge, the containment edge of the Firm model.
 
 Node ids are ints handed out monotonically and never reused. Iterating
 the node table visits nodes in insertion order: ascending ids for a graph
@@ -94,7 +97,6 @@ class EdgeKind(Enum):
     CONTROLFLOW = "Controlflow"
     TRUE = "True"
     FALSE = "False"
-    BLOCK = "BlockEdge"
 
 
 class Relation(Enum):
@@ -223,9 +225,18 @@ TARGET_BINARY_KINDS = frozenset(PLAIN_TARGET_OF[k] for k in IMMEDIATE_TARGET_OF)
 
 CONTROL_EDGE_KINDS = frozenset({EdgeKind.CONTROLFLOW, EdgeKind.TRUE, EdgeKind.FALSE})
 
+# Enum members as module globals. On Python 3.11 EnumType defines
+# __getattr__, so reading NodeKind.X costs several times a global lookup;
+# function bodies in the hot modules read these names instead.
+_BLOCK, _START, _END = NodeKind.BLOCK, NodeKind.START, NodeKind.END
+_DATAFLOW = EdgeKind.DATAFLOW
+
 
 class Node:
-    __slots__ = ("kind", "value", "relation", "volatile")
+    """One operation. block is the id of the containing Block, or None for
+    a Block and for a node whose Block was deleted."""
+
+    __slots__ = ("kind", "value", "relation", "volatile", "block")
 
     def __init__(
         self,
@@ -233,11 +244,13 @@ class Node:
         value: int | None = None,
         relation: Relation | None = None,
         volatile: bool | None = None,
+        block: int | None = None,
     ):
         self.kind = kind
         self.value = value
         self.relation = relation
         self.volatile = volatile
+        self.block = block
 
     def __repr__(self) -> str:
         attrs = []
@@ -268,16 +281,19 @@ class Edge:
 class FirmGraph:
     """One function's worth of IR.
 
-    Mutators keep the incidence lists consistent; there is no way to leave
-    a dangling edge through the public interface. Verification is a
-    separate read-only concern (see verifier.py), so structurally odd but
-    representable graphs are allowed here.
+    Mutators keep the incidence lists and the block memberships
+    consistent; there is no way to leave a dangling edge or membership
+    through the public interface. Verification is a separate read-only
+    concern (see verifier.py), so structurally odd but representable graphs
+    are allowed here.
     """
 
     def __init__(self) -> None:
         self._nodes: dict[int, Node] = {}
         self._out: dict[int, list[Edge]] = {}
         self._in: dict[int, list[Edge]] = {}
+        # Block id -> ids of the nodes whose block field names it.
+        self._members: dict[int, set[int]] = {}
         self._next_id = 0
         self._edge_count = 0
         self.start_block: int | None = None
@@ -293,6 +309,7 @@ class FirmGraph:
 
     @property
     def edge_count(self) -> int:
+        """Edges plus one per block membership (the containment edges)."""
         return self._edge_count
 
     def node(self, nid: int) -> Node:
@@ -338,8 +355,8 @@ class FirmGraph:
     ) -> int:
         """Create a node, checking attribute legality for its kind.
 
-        Non-Block nodes must name their containing block; a BlockEdge to it
-        is created as part of this call. Blocks take no attributes at all.
+        Non-Block nodes must name their containing block and become its
+        members as part of this call. Blocks take no attributes at all.
         """
         if value is not None and kind not in VALUE_KINDS:
             raise GraphError(f"{kind.value} cannot carry a value attribute")
@@ -362,15 +379,14 @@ class FirmGraph:
         if value is not None and not (-(2**31) <= value <= 2**31 - 1):
             raise GraphError(f"value {value} outside 32-bit signed range")
 
-        if kind is NodeKind.BLOCK:
-            if block is not None:
-                raise GraphError("a Block is not contained in a block")
-        elif block is None:
+        if block is not None:
+            self._check_home(kind, block)
+        elif kind is not _BLOCK:
             raise GraphError(f"{kind.value} node needs a containing block")
 
         nid = self._raw_add_node(kind, value, relation, volatile)
         if block is not None:
-            self.add_edge(nid, block, EdgeKind.BLOCK)
+            self._join(nid, block)
         return nid
 
     def _raw_add_node(
@@ -398,7 +414,8 @@ class FirmGraph:
 
         The bulk hook for deserialization and copy(): the caller vouches
         that every edge's endpoints are keys of `nodes`. Each incidence list
-        gets its edges in the order `edges` lists them.
+        gets its edges in the order `edges` lists them, and each node's
+        block field makes it a member of that block.
         """
         g = cls()
         g._nodes = nodes
@@ -407,7 +424,11 @@ class FirmGraph:
         for e in edges:
             out[e.src].append(e)
             inc[e.dst].append(e)
-        g._edge_count = len(edges)
+        members = g._members
+        for nid, n in nodes.items():
+            if n.block is not None:
+                members.setdefault(n.block, set()).add(nid)
+        g._edge_count = len(edges) + sum(map(len, members.values()))
         g._next_id = max(0, max(nodes, default=-1) + 1)
         return g
 
@@ -415,22 +436,14 @@ class FirmGraph:
         self, src: int, dst: int, kind: EdgeKind, position: int | None = None
     ) -> Edge:
         src_node = self.node(src)
-        dst_node = self.node(dst)
-        if kind is EdgeKind.BLOCK:
-            if position is not None:
-                raise GraphError("BlockEdge carries no position")
-            if src_node.kind is NodeKind.BLOCK:
-                raise GraphError("a Block cannot have a BlockEdge")
-            if dst_node.kind is not NodeKind.BLOCK:
-                raise GraphError(f"BlockEdge target {dst} is not a Block")
-        else:
-            if position is None or position < 0:
-                raise GraphError(f"{kind.value} edge needs a position >= 0")
-            if kind in CONTROL_EDGE_KINDS and src_node.kind is not NodeKind.BLOCK:
-                raise GraphError(
-                    f"{kind.value} edge must start at the target Block, "
-                    f"not at a {src_node.kind.value}"
-                )
+        self.node(dst)
+        if position is None or position < 0:
+            raise GraphError(f"{kind.value} edge needs a position >= 0")
+        if kind in CONTROL_EDGE_KINDS and src_node.kind is not _BLOCK:
+            raise GraphError(
+                f"{kind.value} edge must start at the target Block, "
+                f"not at a {src_node.kind.value}"
+            )
         edge = Edge(src, dst, kind, position)
         self._out[src].append(edge)
         self._in[dst].append(edge)
@@ -438,6 +451,42 @@ class FirmGraph:
         return edge
 
     # -- mutation --------------------------------------------------------
+
+    def set_block(self, nid: int, block: int) -> None:
+        """Make a node that has no containing block a member of a Block.
+
+        A node lives in at most one block, so one that already has a block
+        is refused, and so is a Block, which no block contains.
+        """
+        node = self.node(nid)
+        self._check_home(node.kind, block)
+        if node.block is not None:
+            raise GraphError(f"node {nid} is already in block {node.block}")
+        self._join(nid, block)
+
+    def _check_home(self, kind: NodeKind, block: int) -> None:
+        home = self.node(block)
+        if kind is _BLOCK:
+            raise GraphError("a Block is not contained in a block")
+        if home.kind is not _BLOCK:
+            raise GraphError(f"containing block {block} is not a Block")
+
+    def _join(self, nid: int, block: int) -> None:
+        self._nodes[nid].block = block
+        self._members.setdefault(block, set()).add(nid)
+        self._edge_count += 1
+
+    def move_members(self, frm: int, to: int) -> None:
+        """Move every member of block frm into block to."""
+        self.node(frm)
+        if self.node(to).kind is not _BLOCK:
+            raise GraphError(f"containing block {to} is not a Block")
+        if frm == to:
+            raise GraphError("move_members needs two distinct blocks")
+        moved = self._members.pop(frm, ())
+        for m in moved:
+            self._nodes[m].block = to
+        self._members.setdefault(to, set()).update(moved)
 
     def delete_edge(self, edge: Edge) -> None:
         try:
@@ -448,9 +497,10 @@ class FirmGraph:
         self._edge_count -= 1
 
     def delete_node(self, nid: int) -> None:
-        """Remove a node and every incident edge."""
+        """Remove a node and every incident edge; a deleted Block's members
+        are left without a block."""
         node = self.node(nid)
-        if node.kind in (NodeKind.START, NodeKind.END):
+        if node.kind is _START or node.kind is _END:
             raise GraphError(f"refusing to delete the {node.kind.value} node")
         seen: dict[int, Edge] = {}
         for e in self._out[nid]:
@@ -460,6 +510,12 @@ class FirmGraph:
         for e in seen.values():
             self._out[e.src].remove(e)
             self._in[e.dst].remove(e)
+            self._edge_count -= 1
+        if node.block is not None:
+            self._members[node.block].discard(nid)
+            self._edge_count -= 1
+        for m in self._members.pop(nid, ()):
+            self._nodes[m].block = None
             self._edge_count -= 1
         del self._nodes[nid]
         del self._out[nid]
@@ -514,7 +570,7 @@ class FirmGraph:
         self.node(to)
         if frm == to:
             raise GraphError("redirect_users needs two distinct nodes")
-        moved = [e for e in self._in[frm] if e.kind is EdgeKind.DATAFLOW]
+        moved = [e for e in self._in[frm] if e.kind is _DATAFLOW]
         for e in moved:
             self._in[frm].remove(e)
             e.dst = to
@@ -529,7 +585,7 @@ class FirmGraph:
         pairs = [
             (e.src, e.position)
             for e in self._in[nid]
-            if e.kind is EdgeKind.DATAFLOW
+            if e.kind is _DATAFLOW
         ]
         pairs.sort(key=lambda p: (p[1], p[0]))
         return pairs
@@ -540,27 +596,27 @@ class FirmGraph:
         pairs = [
             (e.dst, e.position)
             for e in self._out[nid]
-            if e.kind is EdgeKind.DATAFLOW
+            if e.kind is _DATAFLOW
         ]
         pairs.sort(key=lambda p: (p[1], p[0]))
         return pairs
 
     def operand_edges(self, nid: int) -> list[Edge]:
-        edges = [e for e in self._out.get(nid, ()) if e.kind is EdgeKind.DATAFLOW]
+        edges = [e for e in self._out.get(nid, ()) if e.kind is _DATAFLOW]
         edges.sort(key=lambda e: (e.position, e.dst))
         return edges
 
     def block_of(self, nid: int) -> int:
-        """The Block containing nid, via its BlockEdge."""
-        for e in self._out.get(nid, ()):
-            if e.kind is EdgeKind.BLOCK:
-                return e.dst
-        raise NoBlockError(f"node {nid} has no containing block")
+        """The Block containing nid."""
+        node = self._nodes.get(nid)
+        if node is None or node.block is None:
+            raise NoBlockError(f"node {nid} has no containing block")
+        return node.block
 
     def members_of(self, block: int) -> list[int]:
-        """Ids of nodes whose BlockEdge points at this block, ascending."""
+        """Ids of the nodes this block contains, ascending."""
         self.node(block)
-        return sorted(e.src for e in self._in[block] if e.kind is EdgeKind.BLOCK)
+        return sorted(self._members.get(block, ()))
 
     def control_in_edges(self, block: int) -> list[Edge]:
         """Control edges entering this block (src == block), by position."""
@@ -577,7 +633,7 @@ class FirmGraph:
     def copy(self) -> "FirmGraph":
         g = FirmGraph._from_tables(
             {
-                nid: Node(n.kind, n.value, n.relation, n.volatile)
+                nid: Node(n.kind, n.value, n.relation, n.volatile, n.block)
                 for nid, n in self._nodes.items()
             },
             [Edge(e.src, e.dst, e.kind, e.position) for e in self.edges()],
@@ -596,6 +652,7 @@ class FirmGraph:
                 n.value,
                 None if n.relation is None else n.relation.value,
                 n.volatile,
+                n.block,
             )
             for nid, n in sorted(self._nodes.items())
         )

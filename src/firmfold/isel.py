@@ -23,6 +23,9 @@ from .ir import (
 )
 from .verifier import verify
 
+# Enum members as module globals: see the note in ir.
+_CONST = NodeKind.CONST
+
 
 def normalize_const(g: FirmGraph, nid: int) -> bool:
     """Swap the operands of a commutative operation so that a Const sits
@@ -33,8 +36,8 @@ def normalize_const(g: FirmGraph, nid: int) -> bool:
     edges = g.operand_edges(nid)
     if len(edges) != 2 or edges[0].position != 0 or edges[1].position != 1:
         return False
-    first = g.node(edges[0].dst).kind is NodeKind.CONST
-    second = g.node(edges[1].dst).kind is NodeKind.CONST
+    first = g.node(edges[0].dst).kind is _CONST
+    second = g.node(edges[1].dst).kind is _CONST
     if not first or second:
         return False
     edges[0].position = 1
@@ -58,7 +61,7 @@ def select_immediate(g: FirmGraph, nid: int) -> bool:
     if len(edges) != 2 or edges[0].position != 0 or edges[1].position != 1:
         return False
     const = g.node(edges[1].dst)
-    if const.kind is not NodeKind.CONST:
+    if const.kind is not _CONST:
         return False
     value = const.value
     g.retype_node(nid, target_kind)

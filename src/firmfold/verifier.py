@@ -4,10 +4,10 @@ verify() never mutates and never raises on representable graphs; it
 returns every finding as data so callers can render or count them. Each
 rule has a stable id (V1..V10) that tests and the CLI key off.
 
-verify() is one pass over the nodes, reading FirmGraph's incidence tables
-directly. It reads each node's outgoing edges once (and a Cond's incoming
-ones, for V5) and settles the per-node rules V1-V3, V5, V8 and V10 on the
-spot. What the block-level rules need (Phi operand positions, each node's
+verify() is one pass over the nodes, reading FirmGraph's tables directly.
+It reads each node's block field and outgoing edges once (and a Cond's
+incoming edges, for V5) and settles the per-node rules V1-V3, V5, V8 and
+V10 on the spot. What the block-level rules need (Phi operand positions, each node's
 control-predecessor positions, each block's control transfers) is
 collected on the way, and V4, V6 and V7 are settled after the walk. V9
 checks the function anchors last. Findings come ordered by rule, V1
@@ -43,6 +43,10 @@ class Violation:
     message: str
 
 
+# Enum members as module globals: see the note in ir.
+_BLOCK = NodeKind.BLOCK
+_DATAFLOW, _TRUE, _FALSE = EdgeKind.DATAFLOW, EdgeKind.TRUE, EdgeKind.FALSE
+
 # Per kind, what the walk reads of the op table:
 # (arity or None, role bits, value legal, relation legal, volatile legal).
 _FACTS = {k: (d.arity, d.role, d.value, d.relation, d.volatile) for k, d in OPS.items()}
@@ -68,11 +72,8 @@ def verify(g: FirmGraph) -> list[Violation]:
     v1, v2, v3, v5, v8, v10 = [], [], [], [], [], []
     nodes = g._nodes
     outs = g._out
-    dataflow = EdgeKind.DATAFLOW
-    blockedge = EdgeKind.BLOCK
-    block_kind = NodeKind.BLOCK
     facts = _FACTS
-    phis = []  # (phi id, its first containing block, operand positions)
+    phis = []  # (phi id, its containing block, operand positions)
     ctrl_pos: dict[int, list] = {}  # node -> positions of its control edges
     transfers: dict[int, list[int]] = {}  # block -> control transfers in it
     blocks = []
@@ -82,20 +83,24 @@ def verify(g: FirmGraph) -> list[Violation]:
     for nid, n in nodes.items():
         kind = n.kind
         arity, role, value_ok, relation_ok, volatile_ok = facts[kind]
+        home = n.block
+        if home is not None:
+            if role & ROLE_TRANSFER:
+                transfers.setdefault(home, []).append(nid)
+            # V10: no membership may name a missing block.
+            if home not in nodes:
+                v10.append(
+                    Violation(
+                        "V10",
+                        (nid, home),
+                        f"membership of node {nid} in block {home} references a missing node",
+                    )
+                )
         poss = []
-        homes = 0
-        home = None
         ctrl = None
         for e in outs[nid]:
-            ek = e.kind
-            if ek is dataflow:
+            if e.kind is _DATAFLOW:
                 poss.append(e.position)
-            elif ek is blockedge:
-                if homes == 0:
-                    home = e.dst
-                homes += 1
-                if role & ROLE_TRANSFER:
-                    transfers.setdefault(e.dst, []).append(nid)
             elif ctrl is None:
                 ctrl = [e.position]
             else:
@@ -106,15 +111,15 @@ def verify(g: FirmGraph) -> list[Violation]:
                     Violation("V10", (e.src, e.dst), f"edge {e!r} references a missing node")
                 )
 
-        # V1: every non-Block node lives in exactly one block.
-        if kind is block_kind:
+        # V1: every non-Block node lives in a block.
+        if kind is _BLOCK:
             blocks.append(nid)
-        elif homes != 1:
+        elif home is None:
             v1.append(
                 Violation(
                     "V1",
                     (nid,),
-                    f"node {nid} ({kind.value}) has {homes} containing blocks, expected 1",
+                    f"node {nid} ({kind.value}) has 0 containing blocks, expected 1",
                 )
             )
         if ctrl is not None:
@@ -147,7 +152,7 @@ def verify(g: FirmGraph) -> list[Violation]:
             )
 
         if role:
-            if role & ROLE_PHI and homes:
+            if role & ROLE_PHI and home is not None:
                 phis.append((nid, home, poss))
             elif role & ROLE_START:
                 starts.append(nid)
@@ -157,9 +162,9 @@ def verify(g: FirmGraph) -> list[Violation]:
                 # V5: every Cond has exactly one True and one False successor edge.
                 t = f = 0
                 for e in g._in[nid]:
-                    if e.kind is EdgeKind.TRUE:
+                    if e.kind is _TRUE:
                         t += 1
-                    elif e.kind is EdgeKind.FALSE:
+                    elif e.kind is _FALSE:
                         f += 1
                 if t != 1 or f != 1:
                     v5.append(
@@ -239,7 +244,7 @@ def _verify_anchors(g: FirmGraph, starts: list[int], ends: list[int]) -> list[Vi
     start_block_ok = (
         g.start_block is not None
         and g.start_block in g
-        and g.node(g.start_block).kind is NodeKind.BLOCK
+        and g.node(g.start_block).kind is _BLOCK
     )
     if not start_block_ok:
         out.append(
@@ -248,7 +253,7 @@ def _verify_anchors(g: FirmGraph, starts: list[int], ends: list[int]) -> list[Vi
     end_block_ok = (
         g.end_block is not None
         and g.end_block in g
-        and g.node(g.end_block).kind is NodeKind.BLOCK
+        and g.node(g.end_block).kind is _BLOCK
     )
     if not end_block_ok:
         out.append(Violation("V9", (), f"end block {g.end_block!r} is not a live Block"))

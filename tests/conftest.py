@@ -280,10 +280,15 @@ def golden_corpus():
 
 
 def _broken_v1():
+    from firmfold.graphio import from_payload, to_payload
+
     g, names = build_add_graph()
-    blockedge = [e for e in g.out_edges(names["a"]) if e.kind is EdgeKind.BLOCK][0]
-    g.delete_edge(blockedge)
-    return g
+    # A node item without a "block" field loads as an orphan.
+    data = to_payload(g)
+    for item in data["nodes"]:
+        if item["id"] == names["a"]:
+            del item["block"]
+    return from_payload(data)
 
 
 def _broken_v2():

@@ -1,7 +1,7 @@
 """The earlier JSON loader and writer, kept as the oracle for graphio.
 
 from_payload checks each item field by field and inserts through
-FirmGraph's validating add_edge; to_json goes through a payload of dicts
+FirmGraph's validating set_block and add_edge; to_json goes through a payload of dicts
 and json.dumps. The tests compare graphio's one-pass loader and its
 template writer against these, message for message and byte for byte.
 """
@@ -79,7 +79,7 @@ def from_payload(data) -> FirmGraph:
 
     for ctx, nid, block in pending_blocks:
         try:
-            g.add_edge(nid, block, EdgeKind.BLOCK)
+            g.set_block(nid, block)
         except GraphError as exc:
             raise FormatError(f"{ctx}: {exc}") from None
 
@@ -95,7 +95,7 @@ def from_payload(data) -> FirmGraph:
         kind_name = item.get("kind")
         if not isinstance(kind_name, str):
             raise FormatError(f"{ctx}: 'kind' must be a string")
-        if kind_name == EdgeKind.BLOCK.value:
+        if kind_name == "BlockEdge":
             raise FormatError(
                 f"{ctx}: containment is written as the node's 'block' field, "
                 "not as an explicit edge"
@@ -141,13 +141,7 @@ def to_payload(g: FirmGraph) -> dict:
         except NoBlockError:
             pass
         nodes.append(item)
-    plain = sorted(
-        (
-            (e.src, e.kind.value, e.position, e.dst)
-            for e in g.edges()
-            if e.kind is not EdgeKind.BLOCK
-        ),
-    )
+    plain = sorted((e.src, e.kind.value, e.position, e.dst) for e in g.edges())
     edges = [
         {"src": src, "dst": dst, "kind": kind, "position": pos}
         for src, kind, pos, dst in plain

@@ -31,17 +31,18 @@ def reference_verify(g: FirmGraph) -> list[Violation]:
     """Run every structural rule; an empty list means the graph is clean."""
     out: list[Violation] = []
 
-    # V1: every non-Block node lives in exactly one block.
+    # V1: every non-Block node lives in a block.
     for nid, n in g.items():
         if n.kind is NodeKind.BLOCK:
             continue
-        count = sum(1 for e in g.out_edges(nid) if e.kind is EdgeKind.BLOCK)
-        if count != 1:
+        try:
+            g.block_of(nid)
+        except NoBlockError:
             out.append(
                 Violation(
                     "V1",
                     (nid,),
-                    f"node {nid} ({n.kind.value}) has {count} containing blocks, expected 1",
+                    f"node {nid} ({n.kind.value}) has 0 containing blocks, expected 1",
                 )
             )
 
@@ -215,11 +216,25 @@ def reference_verify(g: FirmGraph) -> list[Violation]:
             )
         )
 
-    # V10: no edge may reference a missing node.
-    for e in g.edges():
-        if e.src not in g or e.dst not in g:
-            out.append(
-                Violation("V10", (e.src, e.dst), f"edge {e!r} references a missing node")
-            )
+    # V10: no membership or edge may reference a missing node.
+    for nid in g.node_ids():
+        try:
+            block = g.block_of(nid)
+        except NoBlockError:
+            pass
+        else:
+            if block not in g:
+                out.append(
+                    Violation(
+                        "V10",
+                        (nid, block),
+                        f"membership of node {nid} in block {block} references a missing node",
+                    )
+                )
+        for e in g.out_edges(nid):
+            if e.src not in g or e.dst not in g:
+                out.append(
+                    Violation("V10", (e.src, e.dst), f"edge {e!r} references a missing node")
+                )
 
     return out

@@ -206,10 +206,22 @@ def test_gen_rejects_impossible_shapes(tmp_path, capsys):
     assert "at least 2 blocks" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sizes", ["inf", "1e400", "1,-inf", "nan", "two", ","])
+@pytest.mark.parametrize(
+    "sizes", ["inf", "1e400", "1,-inf", "nan", "two", ",", "-5", "0", "1e-3", "200,0"]
+)
 def test_bench_rejects_bad_sizes(tmp_path, capsys, sizes):
-    assert main(["bench", "--sizes", sizes, "-o", str(tmp_path / "b.csv")]) == 2
+    out = tmp_path / "b.csv"
+    assert main(["bench", f"--sizes={sizes}", "--repeat", "1", "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("repeat", ["0", "-2"])
+def test_bench_rejects_a_repeat_below_one(tmp_path, capsys, repeat):
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--sizes", "200", "--repeat", repeat, "-o", str(out)]) == 2
+    assert "--repeat must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_writes_csv(tmp_path, capsys):

@@ -29,7 +29,7 @@ from firmfold.graphio import (
     to_json,
     to_payload,
 )
-from firmfold.ir import EdgeKind, NodeKind
+from firmfold.ir import NodeKind
 from firmfold.isel import run_instruction_selection
 from firmfold.verifier import verify
 
@@ -104,7 +104,7 @@ def test_block_membership_is_a_node_field():
         (lambda d: d["nodes"][4].update(volatile=1), "'volatile' must be a boolean"),
         (lambda d: d["nodes"][1].update(id=0), "duplicate node id 0"),
         (lambda d: d["nodes"][4].update(block=777), "unknown node id 777"),
-        (lambda d: d["nodes"][4].update(block=5), "BlockEdge target 5 is not a Block"),
+        (lambda d: d["nodes"][4].update(block=5), "containing block 5 is not a Block"),
         (
             lambda d: d["edges"].append(
                 {"src": 7, "dst": 6, "kind": "BlockEdge"}
@@ -117,7 +117,7 @@ def test_block_membership_is_a_node_field():
         (lambda d: d["edges"][0].update(position=None), "'position' must be an integer"),
         (lambda d: d["edges"][0].update(position=-1), "needs a position >= 0"),
         (lambda d: d["edges"][1].update(kind="True"), "must start at the target Block"),
-        (lambda d: d["nodes"][0].update(block=0), "a Block cannot have a BlockEdge"),
+        (lambda d: d["nodes"][0].update(block=0), "a Block is not contained in a block"),
         (lambda d: d.update(start=999), "'start' references missing node 999"),
         (lambda d: d.update(end=True), "'end' must be an integer node id"),
     ],
@@ -357,12 +357,13 @@ def _mutate(payload, data):
 
 def _tables(g):
     """Node order and attributes, each incidence list in order, and the counters."""
-    nodes = [(nid, n.kind, n.value, n.relation, n.volatile) for nid, n in g.items()]
+    nodes = [(nid, n.kind, n.value, n.relation, n.volatile, n.block) for nid, n in g.items()]
     incidence = [
         [(nid, [(e.src, e.dst, e.kind, e.position) for e in lst]) for nid, lst in table.items()]
         for table in (g._out, g._in)
     ]
-    return nodes, incidence, g._next_id, g.edge_count, g.start_block, g.end_block
+    members = {block: sorted(ids) for block, ids in g._members.items()}
+    return nodes, incidence, members, g._next_id, g.edge_count, g.start_block, g.end_block
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -393,9 +394,10 @@ def test_loader_matches_the_reference_on_mutated_payloads(data):
 def test_writer_matches_the_reference():
     graphs = list(broken_graphs().values())
     g, entry, _ = func_graph()
-    # Only add_edge can give a node a second BlockEdge; the first one wins.
-    c = g.add_node(NodeKind.CONST, value=4, block=entry)
-    g.add_edge(c, g.end_block, EdgeKind.BLOCK)
+    # A node whose block was deleted is written without a "block" field.
+    side = g.add_node(NodeKind.BLOCK)
+    g.add_node(NodeKind.CONST, value=4, block=side)
+    g.delete_node(side)
     graphs.append(g)
     for g in graphs:
         assert to_json(g) == reference.to_json(g)

@@ -61,15 +61,68 @@ def test_add_node_volatile_defaults_to_false_on_memory_kinds():
     assert g.node(store).volatile is True
 
 
+def _memberships(g):
+    return sum(1 for _nid, n in g.items() if n.block is not None)
+
+
 def test_add_node_containment():
     g, entry, _ = func_graph()
     c = g.add_node(NodeKind.CONST, value=1, block=entry)
     assert g.block_of(c) == entry
+    assert g.node(c).block == entry
     assert c in g.members_of(entry)
+    size = len(g)
     with pytest.raises(GraphError, match="needs a containing block"):
         g.add_node(NodeKind.CONST, value=1)
     with pytest.raises(GraphError, match="not contained in a block"):
         g.add_node(NodeKind.BLOCK, block=entry)
+    with pytest.raises(GraphError, match=f"containing block {c} is not a Block"):
+        g.add_node(NodeKind.CONST, value=1, block=c)
+    with pytest.raises(GraphError, match="unknown node id 999"):
+        g.add_node(NodeKind.CONST, value=1, block=999)
+    # A refused node is not left behind.
+    assert len(g) == size
+
+
+def test_set_block_homes_only_an_orphan_in_a_block():
+    g, entry, end = func_graph()
+    side = g.add_node(NodeKind.BLOCK)
+    c = g.add_node(NodeKind.CONST, value=1, block=side)
+    before = g.edge_count
+    g.delete_node(side)
+    assert g.node(c).block is None
+    assert g.edge_count == before - 1
+    with pytest.raises(NoBlockError):
+        g.block_of(c)
+    with pytest.raises(GraphError, match="a Block is not contained in a block"):
+        g.set_block(entry, end)
+    with pytest.raises(GraphError, match="is not a Block"):
+        g.set_block(c, c)
+    with pytest.raises(GraphError, match="unknown node id"):
+        g.set_block(c, 999)
+    g.set_block(c, end)
+    assert g.block_of(c) == end
+    assert g.members_of(end) == sorted([c, *[n for n, node in g.items() if node.kind is NodeKind.END]])
+    assert g.edge_count == before
+    with pytest.raises(GraphError, match=f"node {c} is already in block {end}"):
+        g.set_block(c, entry)
+
+
+def test_move_members_rehomes_a_whole_block():
+    g, entry, _ = func_graph()
+    side = g.add_node(NodeKind.BLOCK)
+    moved = [g.add_node(NodeKind.CONST, value=v, block=side) for v in range(3)]
+    before = g.edge_count
+    stay = g.members_of(entry)
+    g.move_members(side, entry)
+    assert g.members_of(side) == []
+    assert g.members_of(entry) == sorted(stay + moved)
+    assert all(g.block_of(m) == entry for m in moved)
+    assert g.edge_count == before
+    with pytest.raises(GraphError, match="two distinct blocks"):
+        g.move_members(entry, entry)
+    with pytest.raises(GraphError, match="is not a Block"):
+        g.move_members(side, moved[0])
 
 
 def test_add_edge_rules():
@@ -80,12 +133,7 @@ def test_add_edge_rules():
         g.add_edge(ret, c, DF)
     with pytest.raises(GraphError, match="needs a position"):
         g.add_edge(ret, c, DF, -1)
-    with pytest.raises(GraphError, match="carries no position"):
-        g.add_edge(c, entry, EdgeKind.BLOCK, 0)
-    with pytest.raises(GraphError, match="a Block cannot have a BlockEdge"):
-        g.add_edge(entry, entry, EdgeKind.BLOCK)
-    with pytest.raises(GraphError, match="is not a Block"):
-        g.add_edge(ret, c, EdgeKind.BLOCK)
+    assert not hasattr(EdgeKind, "BLOCK")
     with pytest.raises(GraphError, match="must start at the target Block"):
         g.add_edge(ret, ret, EdgeKind.CONTROLFLOW, 0)
     with pytest.raises(GraphError, match="unknown node id"):
@@ -95,9 +143,10 @@ def test_add_edge_rules():
 def test_edge_count_tracks_mutations():
     g, names = build_add_graph()
     before = g.edge_count
-    assert before == len(list(g.edges()))
+    # One per edge and one per block membership.
+    assert before == len(list(g.edges())) + _memberships(g) == 4 + 6
     extra = g.add_node(NodeKind.CONST, value=9, block=names["entry"])
-    assert g.edge_count == before + 1  # its BlockEdge
+    assert g.edge_count == before + 1  # its membership
     g.delete_node(extra)
     assert g.edge_count == before
 
@@ -110,7 +159,7 @@ def test_delete_node_removes_incident_edges():
     assert add not in g
     assert g.users_of(names["a"]) == []
     assert g.users_of(names["b"]) == []
-    assert g.edge_count == len(list(g.edges()))
+    assert g.edge_count == len(list(g.edges())) + _memberships(g)
 
 
 def test_delete_node_handles_self_loops_once():
@@ -119,8 +168,8 @@ def test_delete_node_handles_self_loops_once():
     g.add_edge(phi, phi, DF, 0)
     before = g.edge_count
     g.delete_node(phi)
-    assert g.edge_count == before - 2  # self edge and BlockEdge
-    assert g.edge_count == len(list(g.edges()))
+    assert g.edge_count == before - 2  # self edge and membership
+    assert g.edge_count == len(list(g.edges())) + _memberships(g)
 
 
 def test_delete_node_refuses_anchor_nodes():
@@ -202,7 +251,7 @@ def test_redirect_users_moves_only_dataflow():
     assert moved == 1
     assert g.users_of(names["add"]) == []
     assert g.users_of(c9) == [(names["ret"], 0)]
-    # the add's containment edge is untouched
+    # the add's membership is untouched
     assert g.block_of(names["add"]) == names["entry"]
     with pytest.raises(GraphError, match="two distinct nodes"):
         g.redirect_users(c9, c9)
@@ -255,8 +304,8 @@ def test_copy_keeps_the_incidence_order():
     from firmfold.cfgfold import optimize
     from firmfold.graphio import generate
 
-    g = generate(2)
-    optimize(g)  # its rewrites leave the in-lists out of edges() order
+    g = generate(31)
+    optimize(g)  # its rewrites leave some in-lists out of edges() order
     h = g.copy()
 
     def rows(lst):
@@ -273,6 +322,9 @@ def test_copy_keeps_the_incidence_order():
     }
     assert {nid: rows(lst) for nid, lst in h._in.items()} == expected_in
     assert expected_in != {nid: rows(lst) for nid, lst in g._in.items()}
+    blocks = [nid for nid, n in g.items() if n.kind is NodeKind.BLOCK]
+    assert [h.members_of(b) for b in blocks] == [g.members_of(b) for b in blocks]
+    assert [n.block for n in h._nodes.values()] == [n.block for n in g._nodes.values()]
     assert (h._next_id, h.edge_count) == (g._next_id, g.edge_count)
 
 
@@ -284,23 +336,86 @@ def test_unknown_node_queries_raise():
         g.members_of(0)
 
 
+def _check_bookkeeping(g):
+    """Recount memberships and edges from the node table and the edge lists,
+    and check that block_of, members_of and edge_count agree."""
+    homes = {}
+    for nid, n in g.items():
+        if n.block is None:
+            with pytest.raises(NoBlockError):
+                g.block_of(nid)
+        else:
+            assert g.node(n.block).kind is NodeKind.BLOCK
+            assert g.block_of(nid) == n.block
+            homes.setdefault(n.block, []).append(nid)
+    for nid, n in g.items():
+        if n.kind is NodeKind.BLOCK:
+            assert n.block is None
+            assert g.members_of(nid) == sorted(homes.pop(nid, []))
+    assert homes == {}
+    edges = list(g.edges())
+    assert g.edge_count == len(edges) + _memberships(g)
+    assert sum(len(g.in_edges(nid)) for nid in g.node_ids()) == len(edges)
+    for nid in g.node_ids():
+        assert all(e.src == nid and e in g.in_edges(e.dst) for e in g.out_edges(nid))
+        assert all(e.dst == nid and e in g.out_edges(e.src) for e in g.in_edges(nid))
+
+
 def test_random_mutation_soak_keeps_bookkeeping_consistent():
+    from firmfold.graphio import from_json, to_json
+
     rng = random.Random(1234)
-    g, entry, _ = func_graph()
-    pool = [g.add_node(NodeKind.CONST, value=v, block=entry) for v in range(4)]
-    for step in range(400):
+    g, entry, end = func_graph()
+    blocks = [entry] + [g.add_node(NodeKind.BLOCK) for _ in range(3)]
+    pool = [g.add_node(NodeKind.CONST, value=v, block=rng.choice(blocks)) for v in range(4)]
+    seen = set()
+    for step in range(600):
         roll = rng.random()
-        if roll < 0.5 or len(pool) < 2:
-            nid = g.add_node(NodeKind.ADD, block=entry)
+        side = blocks[1:]
+        orphans = [nid for nid in pool if g.node(nid).block is None]
+        if roll < 0.4 or len(pool) < 2:
+            nid = g.add_node(NodeKind.ADD, block=rng.choice(blocks))
             g.add_edge(nid, rng.choice(pool), DF, 0)
             g.add_edge(nid, rng.choice(pool), DF, 1)
             pool.append(nid)
-        else:
-            victim = pool.pop(rng.randrange(len(pool)))
+            action = "add"
+        elif roll < 0.65:
             # deleting drops edges of everything still pointing at it
-            g.delete_node(victim)
-        assert g.edge_count == len(list(g.edges()))
-        if step % 50 == 0:
-            for nid, _node in g.items():
-                for e in g.out_edges(nid):
-                    assert e in g.in_edges(e.dst)
+            g.delete_node(pool.pop(rng.randrange(len(pool))))
+            action = "delete member"
+        elif roll < 0.72:
+            blocks.append(g.add_node(NodeKind.BLOCK))
+            action = "add block"
+        elif roll < 0.8 and side:
+            victim = rng.choice(side)
+            blocks.remove(victim)
+            g.delete_node(victim)  # its members stay, without a block
+            action = "delete block"
+        elif roll < 0.88 and side:
+            frm = rng.choice(side)
+            to = rng.choice([b for b in blocks if b != frm])
+            g.move_members(frm, to)
+            if rng.random() < 0.5:
+                blocks.remove(frm)
+                g.delete_node(frm)
+            action = "merge blocks"
+        elif roll < 0.94 and orphans:
+            g.set_block(rng.choice(orphans), rng.choice(blocks))
+            action = "home orphan"
+        elif roll < 0.97:
+            h = g.copy()
+            assert h.signature() == g.signature()
+            _check_bookkeeping(h)
+            action = "copy"
+        else:
+            h = from_json(to_json(g))
+            assert h.signature() == g.signature()
+            assert to_json(h) == to_json(g)
+            _check_bookkeeping(h)
+            action = "round trip"
+        seen.add(action)
+        _check_bookkeeping(g)
+    assert seen == {
+        "add", "delete member", "add block", "delete block", "merge blocks",
+        "home orphan", "copy", "round trip",
+    }

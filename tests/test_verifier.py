@@ -12,6 +12,7 @@ from conftest import (
     build_diamond,
     sized_gen_spec,
 )
+from firmfold.errors import GraphError
 from firmfold.graphio import from_payload, generate, to_payload
 from firmfold.ir import ANCHOR_KINDS, Edge, EdgeKind, NodeKind
 from firmfold.verifier import Violation, format_violations, verify
@@ -101,21 +102,46 @@ def test_format_violations_layout():
 # -- the one-pass verifier against the rule-by-rule reference ---------------
 
 
+def _rehome(g, nid, block):
+    """Set (or, for None, clear) a membership straight in the tables, past
+    the checks of set_block."""
+    node = g.node(nid)
+    if node.block is not None:
+        g._members[node.block].discard(nid)
+        g._edge_count -= 1
+    node.block = block
+    if block is not None:
+        g._members.setdefault(block, set()).add(nid)
+        g._edge_count += 1
+
+
 def _forge(g, rng, dst):
-    """An edge the public mutators would refuse, put straight into the tables."""
+    """An edge or a membership the public mutators would refuse, put
+    straight into the tables."""
     src = rng.choice(list(g.node_ids()))
-    kind = rng.choice(list(EdgeKind))
-    position = None if kind is EdgeKind.BLOCK else rng.randint(0, 3)
-    return Edge(src, dst, kind, position)
+    kind = rng.choice([None] + list(EdgeKind))
+    if kind is None:
+        _rehome(g, src, dst)
+    else:
+        edge = Edge(src, dst, kind, rng.randint(0, 3))
+        g._out[edge.src].append(edge)
+        g._in.get(edge.dst, []).append(edge)
+        g._edge_count += 1
 
 
 def _corrupt(g, rng):
     ids = list(g.node_ids())
     choice = rng.randrange(6)
     if choice == 0:
-        g.delete_edge(rng.choice(list(g.edges())))
+        members = [nid for nid, n in g.items() if n.block is not None]
+        edges = list(g.edges())
+        pick = rng.randrange(len(members) + len(edges))
+        if pick < len(members):
+            _rehome(g, members[pick], None)
+        else:
+            g.delete_edge(edges[pick - len(members)])
     elif choice == 1:
-        edge = rng.choice([e for e in g.edges() if e.kind is not EdgeKind.BLOCK])
+        edge = rng.choice(list(g.edges()))
         positions = [-1, 0, 1, 2, 3, 4]
         if edge.kind is EdgeKind.DATAFLOW:
             # The reference sorts control positions, so only operands go None.
@@ -128,10 +154,7 @@ def _corrupt(g, rng):
         if victims:
             g.delete_node(rng.choice(victims))
     elif choice == 4:
-        edge = _forge(g, rng, rng.choice(ids))
-        g._out[edge.src].append(edge)
-        g._in[edge.dst].append(edge)
-        g._edge_count += 1
+        _forge(g, rng, rng.choice(ids))
     else:
         g.node(rng.choice(ids)).value = rng.choice([None, 2**31])
 
@@ -150,9 +173,9 @@ def test_verify_matches_the_reference_on_corrupted_graphs():
         for _ in range(rng.randint(1, 4)):
             _corrupt(g, rng)
         if rng.random() < 0.1:
-            # A dangling edge comes last: the mutators cannot delete it.
-            edge = _forge(g, rng, 10**6)
-            g._out[edge.src].append(edge)
+            # A dangling edge or membership comes last: the mutators cannot
+            # delete it.
+            _forge(g, rng, 10**6)
         expected = reference_verify(g)
         assert verify(g) == expected, f"seed {seed}"
         seen_rules.update(v.rule for v in expected)
@@ -166,20 +189,35 @@ def test_verify_matches_the_reference_on_broken_graphs():
         assert verify(g) == reference_verify(g)
 
 
+def test_a_node_cannot_join_a_second_block():
+    g, names = build_add_graph()
+    entry, end = names["entry"], g.end_block
+    jmp = g.add_node(NodeKind.JMP, block=entry)
+    for block in (entry, end):
+        with pytest.raises(GraphError, match=f"node {jmp} is already in block {entry}"):
+            g.set_block(jmp, block)
+    assert g.block_of(jmp) == entry
+    assert jmp in g.members_of(entry) and jmp not in g.members_of(end)
+
+
 def test_findings_of_a_graph_breaking_several_rules():
     g, names = build_add_graph()
     entry, add, ret = names["entry"], names["add"], names["ret"]
-    # A Jmp contained twice in the entry block, which already holds a Return.
+    # Two Jmps in the entry block, which already holds a Return.
     jmp = g.add_node(NodeKind.JMP, block=entry)
-    g.add_edge(jmp, entry, EdgeKind.BLOCK)
+    jmp2 = g.add_node(NodeKind.JMP, block=entry)
+    # A Const left without a block when its block is deleted.
+    side = g.add_node(NodeKind.BLOCK)
+    orphan = g.add_node(NodeKind.CONST, value=1, block=side)
+    g.delete_node(side)
     g.add_edge(add, names["a"], EdgeKind.DATAFLOW, 2)
     g.node(add).value = 5
     g.node(names["b"]).value = 2**31
     findings = verify(g)
     assert findings == [
-        Violation("V1", (jmp,), f"node {jmp} (Jmp) has 2 containing blocks, expected 1"),
+        Violation("V1", (orphan,), f"node {orphan} (Const) has 0 containing blocks, expected 1"),
         Violation("V3", (add,), f"Add node {add} has 3 operands, expected 2"),
-        Violation("V6", (ret, jmp, jmp), f"block {entry} contains 3 control transfers"),
+        Violation("V6", (ret, jmp, jmp2), f"block {entry} contains 3 control transfers"),
         Violation("V8", (names["b"],), f"value {2**31} on node {names['b']} outside 32-bit range"),
         Violation("V8", (add,), f"stray value attribute on Add node {add}"),
     ]
