@@ -353,6 +353,8 @@ def _check_bookkeeping(g):
             assert n.block is None
             assert g.members_of(nid) == sorted(homes.pop(nid, []))
     assert homes == {}
+    # A deleted Block's member set goes with it.
+    assert all(block in g for block in g._members)
     edges = list(g.edges())
     assert g.edge_count == len(edges) + _memberships(g)
     assert sum(len(g.in_edges(nid)) for nid in g.node_ids()) == len(edges)
