@@ -24,6 +24,9 @@ _BLOCK, _JMP, _COND, _PHI, _CONST = (
 )
 _DATAFLOW, _CONTROLFLOW = EdgeKind.DATAFLOW, EdgeKind.CONTROLFLOW
 _TRUE, _FALSE = EdgeKind.TRUE, EdgeKind.FALSE
+# The kind sets the cleanup sweeps visit.
+_CONDS, _BLOCKS, _PHIS = frozenset({_COND}), frozenset({_BLOCK}), frozenset({_PHI})
+_NON_ANCHOR_KINDS = frozenset(NodeKind) - ANCHOR_KINDS
 
 
 def fold_cond(g: FirmGraph, nid: int) -> bool:
@@ -194,19 +197,16 @@ def merge_blocks(g: FirmGraph, nid: int) -> bool:
 
 
 def _exhaust(
-    g: FirmGraph, rule: Callable[[FirmGraph, int], bool], kind: NodeKind | None
+    g: FirmGraph, rule: Callable[[FirmGraph, int], object], kinds: frozenset[NodeKind]
 ) -> bool:
-    """Apply one rule to every node of one kind (every non-anchor node for
-    None), repeating until quiet."""
+    """Apply one rule to every node whose kind is in kinds, repeating until
+    quiet. The rule fires when it returns anything but None or False."""
     fired_ever = False
     while True:
         fired = False
-        if kind is None:
-            nids = [n for n, node in g.items() if node.kind not in ANCHOR_KINDS]
-        else:
-            nids = [n for n, node in g.items() if node.kind is kind]
-        for nid in nids:
-            if rule(g, nid):
+        for nid in [n for n, node in g.items() if node.kind in kinds]:
+            result = rule(g, nid)
+            if result is not None and result is not False:
                 fired = True
         if not fired:
             return fired_ever
@@ -236,18 +236,6 @@ def _exhaust_unused(g: FirmGraph) -> bool:
     return fired
 
 
-def _exhaust_assoc_comm(g: FirmGraph) -> bool:
-    fired_ever = False
-    while True:
-        fired = False
-        for nid in [n for n, node in g.items() if node.kind in COMMUTATIVE_KINDS]:
-            if constfold.fold_assoc_comm(g, nid) is not None:
-                fired = True
-        if not fired:
-            return fired_ever
-        fired_ever = True
-
-
 def cleanup_round(g: FirmGraph) -> bool:
     """One round of structural cleanup; True when anything changed.
 
@@ -256,15 +244,15 @@ def cleanup_round(g: FirmGraph) -> bool:
     and block merging runs last over the settled shape.
     """
     changed = False
-    changed |= _exhaust(g, fold_cond, _COND)
-    changed |= _exhaust(g, remove_unreachable_block, _BLOCK)
-    changed |= _exhaust(g, remove_unreachable_node, None)
-    changed |= _exhaust(g, remove_unreachable_phi_operand, _PHI)
-    changed |= _exhaust(g, fix_edge_position, _BLOCK)
-    changed |= _exhaust(g, simplify_trivial_phi, _PHI)
-    changed |= _exhaust_assoc_comm(g)
+    changed |= _exhaust(g, fold_cond, _CONDS)
+    changed |= _exhaust(g, remove_unreachable_block, _BLOCKS)
+    changed |= _exhaust(g, remove_unreachable_node, _NON_ANCHOR_KINDS)
+    changed |= _exhaust(g, remove_unreachable_phi_operand, _PHIS)
+    changed |= _exhaust(g, fix_edge_position, _BLOCKS)
+    changed |= _exhaust(g, simplify_trivial_phi, _PHIS)
+    changed |= _exhaust(g, constfold.fold_assoc_comm, COMMUTATIVE_KINDS)
     changed |= _exhaust_unused(g)
-    changed |= _exhaust(g, merge_blocks, _BLOCK)
+    changed |= _exhaust(g, merge_blocks, _BLOCKS)
     return changed
 
 

@@ -19,10 +19,12 @@ from .errors import (
     ContractError,
     FirmfoldError,
     FormatError,
+    InterpreterError,
     VerificationError,
 )
 from .graphio import GenSpec, generate, spec_for_nodes
 from .interp import execute
+from .ir import OPS, NodeKind
 from .isel import run_instruction_selection
 from .verifier import format_violations, verify
 
@@ -47,22 +49,9 @@ def _seed(args) -> int:
         raise FormatError(f"FIRMFOLD_SEED must be an integer, got {env!r}") from None
 
 
-def _cmd_fold(args) -> int:
-    g = graphio.load(args.input)
-    on_round = _dot_writer(args.emit_dot) if args.emit_dot else None
-    optimize(g, max_rounds=args.max_rounds, on_round=on_round)
-    graphio.save(g, args.output)
-    return 0
-
-
-def _cmd_isel(args) -> int:
-    g = graphio.load(args.input)
-    run_instruction_selection(g)
-    graphio.save(g, args.output)
-    return 0
-
-
 def _cmd_run(args) -> int:
+    """Load, apply the passes in order, save. fold and isel come here with
+    a fixed pass list."""
     passes = [p.strip() for p in args.passes.split(",") if p.strip()]
     unknown = [p for p in passes if p not in ("fold", "isel")]
     if unknown or not passes:
@@ -111,7 +100,12 @@ def _cmd_exec(args) -> int:
     findings = verify(g)
     if findings:
         raise VerificationError(findings, "before exec")
-    result = execute(g, _parse_inputs(args.inputs), max_steps=args.max_steps)
+    inputs = _parse_inputs(args.inputs)
+    loads = {nid for nid, n in g.items() if OPS[n.kind].op is NodeKind.LOAD and n.volatile}
+    for nid in inputs:
+        if nid not in loads:
+            raise InterpreterError(f"--inputs names node {nid}, which is not a volatile Load")
+    result = execute(g, inputs, max_steps=args.max_steps)
     if result.trapped is not None:
         print(f"trap: {result.trapped}")
     else:
@@ -209,11 +203,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--emit-dot", metavar="DIR", help="write a DOT snapshot per round")
     p.add_argument("--max-rounds", type=int, default=None)
-    p.set_defaults(func=_cmd_fold)
+    p.set_defaults(func=_cmd_run, passes="fold")
 
     p = sub.add_parser("isel", help="lower IR kinds to target kinds")
     add_io(p)
-    p.set_defaults(func=_cmd_isel)
+    p.set_defaults(func=_cmd_run, passes="isel", emit_dot=None, max_rounds=None)
 
     p = sub.add_parser("run", help="compose passes in order")
     p.add_argument("--passes", required=True, help="comma list drawn from fold,isel")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .arith import apply_binary, apply_not
 from .errors import GraphError, NoBlockError
-from .ir import BINARY_KINDS, COMMUTATIVE_KINDS, EdgeKind, FirmGraph, NodeKind
+from .ir import BINARY_KINDS, COMMUTATIVE_KINDS, Edge, EdgeKind, FirmGraph, NodeKind
 
 # Enum members as module globals: see the note in ir.
 _CONST, _NOT, _PHI = NodeKind.CONST, NodeKind.NOT, NodeKind.PHI
@@ -89,11 +89,11 @@ def fold_binary(g: FirmGraph, nid: int) -> int | None:
     node = g.node(nid)
     if node.kind not in BINARY_KINDS:
         return None
-    ops = g.operands_of(nid)
-    if len(ops) != 2 or ops[0][1] != 0 or ops[1][1] != 1:
+    edges = g.binary_operands(nid)
+    if edges is None:
         return None
-    a = g.node(ops[0][0])
-    b = g.node(ops[1][0])
+    a = g.node(edges[0].dst)
+    b = g.node(edges[1].dst)
     if a.kind is not _CONST or b.kind is not _CONST:
         return None
     value = apply_binary(node.kind, a.value, b.value, node.relation)
@@ -124,6 +124,19 @@ def fold_phi(g: FirmGraph, nid: int) -> int | None:
     return const
 
 
+def _split_const(g: FirmGraph, nid: int) -> tuple[Edge, Edge] | None:
+    """(Const edge, other edge) when exactly one of nid's two operands is
+    a Const, else None."""
+    edges = g.binary_operands(nid)
+    if edges is None:
+        return None
+    first, second = edges
+    first_const = g.node(first.dst).kind is _CONST
+    if first_const is (g.node(second.dst).kind is _CONST):
+        return None
+    return (first, second) if first_const else (second, first)
+
+
 def fold_assoc_comm(g: FirmGraph, nid: int) -> int | None:
     """Reassociate (x K c1) K c2 into x K c3 for commutative K.
 
@@ -134,29 +147,20 @@ def fold_assoc_comm(g: FirmGraph, nid: int) -> int | None:
     """
     if nid not in g:
         return None
-    node = g.node(nid)
-    kind = node.kind
+    kind = g.node(nid).kind
     if kind not in COMMUTATIVE_KINDS:
         return None
-    edges = g.operand_edges(nid)
-    if len(edges) != 2 or edges[0].position != 0 or edges[1].position != 1:
+    outer = _split_const(g, nid)
+    if outer is None:
         return None
-    kinds = [g.node(e.dst).kind for e in edges]
-    if kinds.count(_CONST) != 1:
-        return None
-    const_edge = edges[0] if kinds[0] is _CONST else edges[1]
-    inner_edge = edges[1] if kinds[0] is _CONST else edges[0]
+    const_edge, inner_edge = outer
     inner = inner_edge.dst
     if inner == nid or g.node(inner).kind is not kind:
         return None
-    inner_edges = g.operand_edges(inner)
-    if len(inner_edges) != 2 or inner_edges[0].position != 0 or inner_edges[1].position != 1:
+    split = _split_const(g, inner)
+    if split is None:
         return None
-    inner_kinds = [g.node(e.dst).kind for e in inner_edges]
-    if inner_kinds.count(_CONST) != 1:
-        return None
-    c1_edge = inner_edges[0] if inner_kinds[0] is _CONST else inner_edges[1]
-    x_edge = inner_edges[1] if inner_kinds[0] is _CONST else inner_edges[0]
+    c1_edge, x_edge = split
     x = x_edge.dst
     if x == nid:
         return None

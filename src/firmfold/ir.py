@@ -606,6 +606,14 @@ class FirmGraph:
         edges.sort(key=lambda e: (e.position, e.dst))
         return edges
 
+    def binary_operands(self, nid: int) -> list[Edge] | None:
+        """The Dataflow operand edges at positions 0 and 1, in that order,
+        or None when nid has any other operand shape."""
+        edges = self.operand_edges(nid)
+        if len(edges) != 2 or edges[0].position != 0 or edges[1].position != 1:
+            return None
+        return edges
+
     def block_of(self, nid: int) -> int:
         """The Block containing nid."""
         node = self._nodes.get(nid)
@@ -623,10 +631,6 @@ class FirmGraph:
         edges = [e for e in self._out.get(block, ()) if e.kind in CONTROL_EDGE_KINDS]
         edges.sort(key=lambda e: (e.position, e.dst))
         return edges
-
-    def control_preds_of(self, block: int) -> list[tuple[int, int, EdgeKind]]:
-        """(transfer node, position, edge kind) per predecessor, by position."""
-        return [(e.dst, e.position, e.kind) for e in self.control_in_edges(block)]
 
     # -- whole-graph helpers ----------------------------------------------
 

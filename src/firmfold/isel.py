@@ -1,9 +1,9 @@
 """Lowering from the IR kinds to the target kinds.
 
-Selection is three sweeps plus a cleanup: put constants of commutative
-operations on the right, absorb right-hand Consts into immediate-form
-target nodes, drop constants nothing reads anymore, then retype whatever
-is left onto its plain target counterpart. Blocks, Start and End carry
+Selection is two sweeps plus a cleanup: absorb Consts into
+immediate-form target nodes (from either side of a commutative
+operation), drop constants nothing reads anymore, then retype whatever is
+left onto its plain target counterpart. Blocks, Start and End carry
 over unchanged. Div and Mod have no target form, so graphs that still
 contain them cannot be lowered.
 """
@@ -27,29 +27,13 @@ from .verifier import verify
 _CONST = NodeKind.CONST
 
 
-def normalize_const(g: FirmGraph, nid: int) -> bool:
-    """Swap the operands of a commutative operation so that a Const sits
-    at position 1, never at position 0. Two Consts stay put, which keeps
-    the later immediate pick deterministic."""
-    if nid not in g or g.node(nid).kind not in COMMUTATIVE_KINDS:
-        return False
-    edges = g.operand_edges(nid)
-    if len(edges) != 2 or edges[0].position != 0 or edges[1].position != 1:
-        return False
-    first = g.node(edges[0].dst).kind is _CONST
-    second = g.node(edges[1].dst).kind is _CONST
-    if not first or second:
-        return False
-    edges[0].position = 1
-    edges[1].position = 0
-    return True
-
-
 def select_immediate(g: FirmGraph, nid: int) -> bool:
     """Turn op(x, Const c) into the immediate target form.
 
-    The node is retyped to its *I kind, takes c's value as an attribute,
-    and drops the operand edge at position 1. The Const itself stays; the
+    A commutative op also takes c from position 0, and x moves to position
+    0; with two Consts it takes the one at position 1, which keeps the pick
+    deterministic. The node is retyped to its *I kind, takes c's value as
+    an attribute, and drops c's operand edge. The Const itself stays; the
     unused-node sweep afterwards collects it once every user let go."""
     if nid not in g:
         return False
@@ -57,16 +41,19 @@ def select_immediate(g: FirmGraph, nid: int) -> bool:
     target_kind = IMMEDIATE_TARGET_OF.get(node.kind)
     if target_kind is None:
         return False
-    edges = g.operand_edges(nid)
-    if len(edges) != 2 or edges[0].position != 0 or edges[1].position != 1:
+    edges = g.binary_operands(nid)
+    if edges is None:
         return False
-    const = g.node(edges[1].dst)
-    if const.kind is not _CONST:
-        return False
-    value = const.value
+    x_edge, const_edge = edges
+    if g.node(const_edge.dst).kind is not _CONST:
+        if node.kind not in COMMUTATIVE_KINDS or g.node(x_edge.dst).kind is not _CONST:
+            return False
+        x_edge, const_edge = const_edge, x_edge
+        x_edge.position = 0
+    value = g.node(const_edge.dst).value
     g.retype_node(nid, target_kind)
     g.node(nid).value = value
-    g.delete_edge(edges[1])
+    g.delete_edge(const_edge)
     return True
 
 
@@ -96,8 +83,6 @@ def run_instruction_selection(g: FirmGraph) -> None:
             f"instruction selection expects an IR-only graph; node {present[0]} is "
             f"{g.node(present[0]).kind.value}"
         )
-    for nid in list(g.node_ids()):
-        normalize_const(g, nid)
     for nid in list(g.node_ids()):
         select_immediate(g, nid)
     _exhaust_unused(g)

@@ -162,6 +162,33 @@ def test_exec_rejects_out_of_range_inputs(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_exec_rejects_inputs_that_name_no_volatile_load(tmp_path, capsys):
+    g, names = build_div_graph(divisor_const=3)
+    src = tmp_path / "div.json"
+    save(g, src)
+    for bad in (999, names["div"], names["d"]):
+        assert main(["exec", str(src), "--inputs", f"{names['x']}=6,{bad}=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --inputs names node {bad}, which is not a volatile Load\n"
+    src = _gen(tmp_path, "none.json", "--inputs", "0")
+    assert main(["exec", str(src), "--inputs", "999=5"]) == 2
+    assert "node 999" in capsys.readouterr().err
+
+
+def test_exec_takes_inputs_for_a_volatile_target_load(tmp_path, capsys):
+    g, names = build_diamond(cond_const=None)
+    run_instruction_selection(g)
+    load_id = names["cond_src"]
+    assert g.node(load_id).kind is NodeKind.TARGET_LOAD
+    src = tmp_path / "tr.json"
+    save(g, src)
+    assert main(["exec", str(src), "--inputs", f"{load_id}=1"]) == 0
+    assert capsys.readouterr().out.strip() == "10"
+    assert main(["exec", str(src), "--inputs", f"{load_id}=0,{names['ret']}=0"]) == 2
+    assert f"node {names['ret']}," in capsys.readouterr().err
+
+
 def test_missing_file_is_exit_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -281,10 +281,25 @@ def test_control_helpers():
     b = g.add_node(NodeKind.BLOCK)
     g.add_edge(b, j2, EdgeKind.CONTROLFLOW, 1)
     g.add_edge(b, j1, EdgeKind.CONTROLFLOW, 0)
-    assert g.control_preds_of(b) == [
+    assert [(e.dst, e.position, e.kind) for e in g.control_in_edges(b)] == [
         (j1, 0, EdgeKind.CONTROLFLOW),
         (j2, 1, EdgeKind.CONTROLFLOW),
     ]
+
+
+def test_binary_operands_matches_only_positions_0_and_1():
+    g, names = build_add_graph()
+    add, a, b = names["add"], names["a"], names["b"]
+    assert [(e.dst, e.position) for e in g.binary_operands(add)] == [(a, 0), (b, 1)]
+    assert g.binary_operands(names["ret"]) is None  # one operand
+    g.operand_edges(add)[1].position = 2
+    assert g.binary_operands(add) is None  # a gap
+    g.operand_edges(add)[1].position = 0
+    assert g.binary_operands(add) is None  # two at position 0
+    g.operand_edges(add)[1].position = 1
+    g.add_edge(add, a, DF, 2)
+    assert g.binary_operands(add) is None  # three operands
+    assert g.binary_operands(names["entry"]) is None  # no operands at all
 
 
 def test_copy_is_independent_and_identical():

@@ -8,12 +8,7 @@ from firmfold.cfgfold import optimize
 from firmfold.errors import ContractError, VerificationError
 from firmfold.interp import execute
 from firmfold.ir import IMMEDIATE_KINDS, TARGET_KINDS, NodeKind, Relation
-from firmfold.isel import (
-    normalize_const,
-    run_instruction_selection,
-    select_immediate,
-    select_plain,
-)
+from firmfold.isel import run_instruction_selection, select_immediate, select_plain
 from firmfold.verifier import verify
 
 
@@ -29,30 +24,6 @@ def _x_plus_const(kind=NodeKind.ADD, const_value=5, const_first=False, relation=
     g.add_edge(op, b, DF, 1)
     ret = finish_return(g, entry, op)
     return g, {"x": x, "c": c, "op": op, "ret": ret}
-
-
-def test_normalize_const_swaps_commutative_operands():
-    g, names = _x_plus_const(const_first=True)
-    assert normalize_const(g, names["op"]) is True
-    assert g.operands_of(names["op"]) == [(names["x"], 0), (names["c"], 1)]
-    assert normalize_const(g, names["op"]) is False  # already in shape
-
-
-def test_normalize_const_leaves_non_commutative_alone():
-    g, names = _x_plus_const(kind=NodeKind.SUB, const_first=True)
-    assert normalize_const(g, names["op"]) is False
-    assert g.operands_of(names["op"]) == [(names["c"], 0), (names["x"], 1)]
-
-
-def test_normalize_const_leaves_two_consts_alone():
-    g, entry, _ = func_graph()
-    c1 = g.add_node(NodeKind.CONST, value=0, block=entry)
-    c2 = g.add_node(NodeKind.CONST, value=0, block=entry)
-    div = g.add_node(NodeKind.DIV, block=entry)
-    g.add_edge(div, c1, DF, 0)
-    g.add_edge(div, c2, DF, 1)
-    finish_return(g, entry, div)
-    assert normalize_const(g, div) is False
 
 
 def test_select_immediate_absorbs_the_constant():
@@ -80,6 +51,36 @@ def test_select_immediate_needs_the_constant_on_the_right():
     g, names = _x_plus_const(kind=NodeKind.SUB, const_first=True)
     assert select_immediate(g, names["op"]) is False
     assert g.node(names["op"]).kind is NodeKind.SUB
+    assert g.operands_of(names["op"]) == [(names["c"], 0), (names["x"], 1)]
+
+
+def test_select_immediate_takes_a_left_constant_of_a_commutative_op():
+    g, names = _x_plus_const(const_value=42, const_first=True)
+    op = names["op"]
+    assert select_immediate(g, op) is True
+    node = g.node(op)
+    assert node.kind is NodeKind.TARGET_ADD_I
+    assert node.value == 42
+    assert g.operands_of(op) == [(names["x"], 0)]
+    assert select_immediate(g, op) is False
+
+
+def test_select_immediate_takes_the_right_of_two_constants():
+    g, entry, _ = func_graph()
+    c1 = g.add_node(NodeKind.CONST, value=3, block=entry)
+    c2 = g.add_node(NodeKind.CONST, value=4, block=entry)
+    add = g.add_node(NodeKind.ADD, block=entry)
+    g.add_edge(add, c1, DF, 0)
+    g.add_edge(add, c2, DF, 1)
+    div = g.add_node(NodeKind.DIV, block=entry)
+    g.add_edge(div, c1, DF, 0)
+    g.add_edge(div, c2, DF, 1)
+    finish_return(g, entry, add)
+    assert select_immediate(g, add) is True
+    assert g.node(add).value == 4
+    assert g.operands_of(add) == [(c1, 0)]
+    assert select_immediate(g, div) is False  # no immediate form
+    assert g.operands_of(div) == [(c1, 0), (c2, 1)]
 
 
 def test_select_plain_retypes_in_place():
