@@ -30,9 +30,9 @@ _CONST = NodeKind.CONST
 def select_immediate(g: FirmGraph, nid: int) -> bool:
     """Turn op(x, Const c) into the immediate target form.
 
-    A commutative op also takes c from position 0, and x moves to position
-    0; with two Consts it takes the one at position 1, which keeps the pick
-    deterministic. The node is retyped to its *I kind, takes c's value as
+    A commutative op takes c from either side, and x ends up at position
+    0; with two Consts it takes the one at position 1, which keeps the
+    pick deterministic. The node is retyped to its *I kind, takes c's value as
     an attribute, and drops c's operand edge. The Const itself stays; the
     unused-node sweep afterwards collects it once every user let go."""
     if nid not in g:

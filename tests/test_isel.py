@@ -1,5 +1,5 @@
-"""Lowering to target kinds: operand normalization, immediate forms,
-plain retyping, and the whole-graph contract."""
+"""Lowering to target kinds: immediate forms, plain retyping, and the
+whole-graph contract."""
 
 import pytest
 
