@@ -51,6 +51,13 @@ def test_select_immediate_needs_the_constant_on_the_right():
     g, names = _x_plus_const(kind=NodeKind.SUB, const_first=True)
     assert select_immediate(g, names["op"]) is False
     assert g.node(names["op"]).kind is NodeKind.SUB
+
+
+def test_normalize_const_leaves_non_commutative_alone():
+    # select_immediate only takes a left Const of a commutative op; a
+    # non-commutative one keeps its operands where they are.
+    g, names = _x_plus_const(kind=NodeKind.SUB, const_first=True)
+    assert select_immediate(g, names["op"]) is False
     assert g.operands_of(names["op"]) == [(names["c"], 0), (names["x"], 1)]
 
 
