@@ -9,7 +9,6 @@ side changes anything, verifying the graph on entry and on exit.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 from .constfold import fold_dataflow_fixpoint
@@ -214,26 +213,28 @@ def _exhaust(
 
 
 def _exhaust_unused(g: FirmGraph) -> bool:
-    """Worklist form of remove_unused_node: deleting a node may orphan its
-    operands, so those are requeued instead of rescanned."""
-    queue = deque(nid for nid, node in g.items() if node.kind in PURE_KINDS)
-    queued = set(queue)
-    fired = False
-    while queue:
-        nid = queue.popleft()
-        queued.discard(nid)
-        if nid not in g or not _is_removable_when_unused(g, nid):
-            continue
-        if g.in_edges(nid, _DATAFLOW):
-            continue
-        operands = [e.dst for e in g.out_edges(nid, _DATAFLOW)]
+    """Counting form of remove_unused_node, run to its fixpoint.
+
+    Every removable node counts its Dataflow readers. A node at 0 is
+    retired and each of its operand edges takes one reader from its
+    target, so a dead chain goes in one pass; a cycle of dead nodes keeps
+    its readers and stays, as under remove_unused_node."""
+    readers = {
+        nid: len(g.in_edges(nid, _DATAFLOW))
+        for nid in g.node_ids()
+        if _is_removable_when_unused(g, nid)
+    }
+    retired = [nid for nid, count in readers.items() if count == 0]
+    # The loop visits what it appends, so retirement spreads down chains.
+    for nid in retired:
+        for e in g.out_edges(nid, _DATAFLOW):
+            if e.dst in readers:
+                readers[e.dst] -= 1
+                if readers[e.dst] == 0:
+                    retired.append(e.dst)
+    for nid in retired:
         g.delete_node(nid)
-        fired = True
-        for dst in operands:
-            if dst in g and dst not in queued:
-                queue.append(dst)
-                queued.add(dst)
-    return fired
+    return bool(retired)
 
 
 def cleanup_round(g: FirmGraph) -> bool:

@@ -13,8 +13,11 @@ from conftest import (
     build_jmp_chain,
     finish_return,
     func_graph,
+    golden_corpus,
 )
 from firmfold.cfgfold import (
+    _exhaust,
+    _exhaust_unused,
     cleanup_round,
     fix_edge_position,
     fold_cond,
@@ -26,9 +29,11 @@ from firmfold.cfgfold import (
     remove_unused_node,
     simplify_trivial_phi,
 )
+from firmfold.constfold import fold_dataflow_fixpoint
 from firmfold.errors import ContractError, GraphError, VerificationError
+from firmfold.graphio import to_json
 from firmfold.interp import execute
-from firmfold.ir import EdgeKind, NodeKind
+from firmfold.ir import PURE_KINDS, EdgeKind, NodeKind
 from firmfold.verifier import verify
 
 
@@ -135,6 +140,87 @@ def test_remove_unused_node_rules():
     assert remove_unused_node(g, c) is False  # the store reads it
     assert remove_unused_node(g, plain) is True
     assert remove_unused_node(g, addr) is False  # vol and store read it
+
+
+def _sweep_matches_the_oracle(g):
+    """_exhaust_unused deletes what remove_unused_node run to its fixpoint
+    deletes; returns the swept graph."""
+    oracle, swept = g.copy(), g.copy()
+    oracle_fired = _exhaust(oracle, remove_unused_node, PURE_KINDS)
+    assert _exhaust_unused(swept) is oracle_fired
+    assert to_json(swept) == to_json(oracle)
+    return swept
+
+
+def test_unused_sweep_matches_the_per_node_rule_on_the_golden_corpus():
+    for g in golden_corpus():
+        _sweep_matches_the_oracle(g)
+        fold_dataflow_fixpoint(g)
+        _sweep_matches_the_oracle(g)
+
+
+def test_unused_sweep_deletes_a_dead_chain():
+    g, names = build_add_graph()
+    entry = names["entry"]
+    c1 = g.add_node(NodeKind.CONST, value=1, block=entry)
+    c2 = g.add_node(NodeKind.CONST, value=2, block=entry)
+    add = g.add_node(NodeKind.ADD, block=entry)
+    g.add_edge(add, c1, DF, 0)
+    g.add_edge(add, c2, DF, 1)
+    neg = g.add_node(NodeKind.NOT, block=entry)
+    g.add_edge(neg, add, DF, 0)
+    swept = _sweep_matches_the_oracle(g)
+    assert not {c1, c2, add, neg} & set(swept.node_ids())
+    assert {names["a"], names["b"], names["add"]} <= set(swept.node_ids())
+
+
+def test_unused_sweep_counts_each_operand_edge():
+    g, names = build_add_graph()
+    entry = names["entry"]
+    x = g.add_node(NodeKind.CONST, value=3, block=entry)
+    double = g.add_node(NodeKind.ADD, block=entry)
+    g.add_edge(double, x, DF, 0)
+    g.add_edge(double, x, DF, 1)
+    swept = _sweep_matches_the_oracle(g)
+    assert x not in swept and double not in swept
+    # With a live reader beside the dead Add(x, x), x stays.
+    live = g.add_node(NodeKind.NOT, block=entry)
+    g.add_edge(live, x, DF, 0)
+    g.retarget_edge(g.in_edges(names["add"], DF)[0], live)
+    swept = _sweep_matches_the_oracle(g)
+    assert double not in swept and x in swept and live in swept
+
+
+def test_unused_sweep_keeps_dead_cycles():
+    g, names = build_add_graph()
+    entry = names["entry"]
+    loop = g.add_node(NodeKind.PHI, block=entry)
+    g.add_edge(loop, loop, DF, 0)
+    c = g.add_node(NodeKind.CONST, value=1, block=entry)
+    phi = g.add_node(NodeKind.PHI, block=entry)
+    add = g.add_node(NodeKind.ADD, block=entry)
+    g.add_edge(phi, add, DF, 0)
+    g.add_edge(add, phi, DF, 0)
+    g.add_edge(add, c, DF, 1)
+    swept = _sweep_matches_the_oracle(g)
+    assert {loop, c, phi, add} <= set(swept.node_ids())
+    assert _exhaust_unused(swept) is False
+
+
+def test_unused_sweep_keeps_volatile_loads_and_stores():
+    g, entry, _ = func_graph()
+    addr = g.add_node(NodeKind.CONST, value=0, block=entry)
+    c = g.add_node(NodeKind.CONST, value=1, block=entry)
+    vol = g.add_node(NodeKind.LOAD, volatile=True, block=entry)
+    g.add_edge(vol, addr, DF, 0)
+    store = g.add_node(NodeKind.STORE, volatile=True, block=entry)
+    g.add_edge(store, addr, DF, 0)
+    g.add_edge(store, c, DF, 1)
+    plain = g.add_node(NodeKind.LOAD, block=entry)
+    g.add_edge(plain, addr, DF, 0)
+    swept = _sweep_matches_the_oracle(g)
+    assert {addr, c, vol, store} <= set(swept.node_ids())
+    assert plain not in swept
 
 
 def test_merge_blocks_collapses_jmp_chain():
