@@ -3,8 +3,9 @@
 Each rule is a predicate-guarded rewrite on one node; it returns True
 when it changed the graph. cleanup_round() runs the rules in a fixed
 order and drives each one to its own fixpoint before moving on.
-optimize() alternates dataflow folding with cleanup rounds until neither
-side changes anything, verifying the graph on entry and on exit.
+optimize() first deletes the unused nodes, so folding skips dead code,
+then alternates dataflow folding with cleanup rounds until neither side
+changes anything, verifying the graph on entry and on exit.
 """
 
 from __future__ import annotations
@@ -262,7 +263,8 @@ def optimize(
     max_rounds: int | None = None,
     on_round: Callable[[int, FirmGraph], None] | None = None,
 ) -> bool:
-    """Run dataflow folding and cleanup rounds to a joint fixpoint.
+    """Delete unused nodes, then run dataflow folding and cleanup rounds to
+    a joint fixpoint.
 
     The graph must verify cleanly going in and is verified again on the
     way out. Returns True when the graph changed at all. max_rounds
@@ -271,7 +273,7 @@ def optimize(
     findings = verify(g)
     if findings:
         raise VerificationError(findings, "before optimize")
-    changed_ever = False
+    changed_ever = _exhaust_unused(g)
     rounds = 0
     while True:
         rounds += 1

@@ -9,19 +9,25 @@ benchmark's branchy shape. Each graph is written, loaded back from that
 text, optimized and lowered; the same two stages also run on a copy of the
 generated graph. Both routes must give the pinned text, so the digests pin
 the writer, the loader and copy() along with the passes.
+
+Removing unused nodes before the first fold changed the optimized and
+lowered texts only in the ids of the Consts that folding creates; the last
+test pins that.
 """
 
 import hashlib
 
 from conftest import golden_corpus
-from firmfold.cfgfold import optimize
-from firmfold.graphio import from_json, to_json
+from firmfold.cfgfold import cleanup_round, optimize
+from firmfold.constfold import fold_dataflow_fixpoint
+from firmfold.graphio import from_json, to_json, to_payload
 from firmfold.isel import run_instruction_selection
+from firmfold.verifier import verify
 
 DIGESTS = {
     "input": "f913f09b8b020250584f989f650cbf65ebf24b79530a17afdb1be8718f5f8cf3",
-    "optimized": "11f7b724b298447e23461db224586b31dbfe714902e09ca77e1a574a02c5e728",
-    "lowered": "97152e92c5efbee56a97e3e13a1458c37dc9bc39b27d6bc288fd121a3f9e24d9",
+    "optimized": "b882ec5bfa0709d3c1dce901f34a2fdf1ad2ba50837f5bec12b19f96e91aefc6",
+    "lowered": "5fef12ad18243cca7d2dd264a85414eb05687e4d574e998b7fc0e4dfdbeb98ad",
 }
 
 
@@ -43,3 +49,54 @@ def test_pipeline_output_matches_the_golden_digests():
     for route, stages in routes.items():
         for stage, digest in stages.items():
             assert digest.hexdigest() == DIGESTS[stage], f"{stage} via {route}"
+
+
+def _fold_and_clean_until_quiet(g):
+    """optimize() as it was before it removed unused nodes first; returns
+    the number of rounds."""
+    assert verify(g) == []
+    rounds = 0
+    while True:
+        rounds += 1
+        folded = fold_dataflow_fixpoint(g)
+        cleaned = cleanup_round(g)
+        if not folded and not cleaned:
+            return rounds
+
+
+def _with_fresh_ids_renumbered(g, first_fresh):
+    """The canonical JSON as data, with the ids from first_fresh up (the
+    nodes the passes created) renumbered first_fresh, first_fresh + 1, ...
+    in ascending order. The map keeps the order of ids, so it keeps the
+    canonical order of nodes and edges too."""
+    fresh = sorted(nid for nid in g.node_ids() if nid >= first_fresh)
+    new_id = {nid: first_fresh + i for i, nid in enumerate(fresh)}
+    data = to_payload(g)
+    for item in data["nodes"]:
+        for key in ("id", "block"):
+            if key in item:
+                item[key] = new_id.get(item[key], item[key])
+    for item in data["edges"]:
+        for key in ("src", "dst"):
+            item[key] = new_id.get(item[key], item[key])
+    for key in ("start", "end"):
+        data[key] = new_id.get(data[key], data[key])
+    return data
+
+
+def test_removing_unused_nodes_first_only_renames_fresh_nodes():
+    for g in golden_corpus():
+        first_fresh = max(g.node_ids()) + 1
+        before, after = g.copy(), g.copy()
+        old_rounds = _fold_and_clean_until_quiet(before)
+        rounds = []
+        optimize(after, on_round=lambda n, _g: rounds.append(n))
+        assert len(rounds) <= old_rounds
+        assert _with_fresh_ids_renumbered(after, first_fresh) == (
+            _with_fresh_ids_renumbered(before, first_fresh)
+        )
+        run_instruction_selection(before)
+        run_instruction_selection(after)
+        assert _with_fresh_ids_renumbered(after, first_fresh) == (
+            _with_fresh_ids_renumbered(before, first_fresh)
+        )
