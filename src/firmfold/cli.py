@@ -49,9 +49,15 @@ def _seed(args) -> int:
         raise FormatError(f"FIRMFOLD_SEED must be an integer, got {env!r}") from None
 
 
+def _at_least_one(option: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise FormatError(f"{option} must be at least 1, got {value}")
+
+
 def _cmd_run(args) -> int:
     """Load, apply the passes in order, save. fold and isel come here with
     a fixed pass list."""
+    _at_least_one("--max-rounds", args.max_rounds)
     passes = [p.strip() for p in args.passes.split(",") if p.strip()]
     unknown = [p for p in passes if p not in ("fold", "isel")]
     if unknown or not passes:
@@ -86,16 +92,20 @@ def _parse_inputs(text: str | None) -> dict[int, int]:
         if not part:
             continue
         try:
-            key, _, value = part.partition("=")
-            inputs[int(key)] = int(value)
+            key, _, text = part.partition("=")
+            nid, value = int(key), int(text)
         except ValueError:
             raise FormatError(
                 f"--inputs takes id=value pairs separated by commas, got {part!r}"
             ) from None
+        if nid in inputs:
+            raise FormatError(f"--inputs names node {nid} twice")
+        inputs[nid] = value
     return inputs
 
 
 def _cmd_exec(args) -> int:
+    _at_least_one("--max-steps", args.max_steps)
     g = graphio.load(args.input)
     findings = verify(g)
     if findings:
@@ -164,8 +174,7 @@ def _best_of(repeat: int, graph, pass_fn) -> tuple[float, object]:
 def _cmd_bench(args) -> int:
     seed = _seed(args)
     sizes = _parse_sizes(args.sizes)
-    if args.repeat < 1:
-        raise FormatError(f"--repeat must be at least 1, got {args.repeat}")
+    _at_least_one("--repeat", args.repeat)
     rows = []
     for size in sizes:
         g = generate(seed, spec_for_nodes(size))

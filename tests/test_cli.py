@@ -71,6 +71,17 @@ def test_fold_round_limit_is_a_contract_breach(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fold", "run"])
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_round_limit_below_one_is_a_usage_error(tmp_path, capsys, command, rounds):
+    src = _gen(tmp_path)
+    out = tmp_path / "o.json"
+    passes = ["--passes", "fold"] if command == "run" else []
+    assert main([command, *passes, str(src), "-o", str(out), "--max-rounds", rounds]) == 2
+    assert capsys.readouterr().err == f"error: --max-rounds must be at least 1, got {rounds}\n"
+    assert not out.exists()
+
+
 def test_run_pipeline_lowers_everything(tmp_path):
     src = _gen(tmp_path, "g.json", "--inputs", "0")
     out = tmp_path / "tr.json"
@@ -129,6 +140,18 @@ def test_exec_step_budget(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "trap: step-limit"
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_exec_step_budget_below_one_is_a_usage_error(tmp_path, capsys, steps):
+    g, names = build_div_graph()
+    src = tmp_path / "div.json"
+    save(g, src)
+    inputs = f"{names['x']}=1,{names['d']}=2"
+    assert main(["exec", str(src), "--inputs", inputs, "--max-steps", steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-steps must be at least 1, got {steps}\n"
+
+
 def test_exec_verifies_first(tmp_path, capsys):
     g, entry, _ = func_graph()
     c = g.add_node(NodeKind.CONST, value=1, block=entry)
@@ -149,6 +172,17 @@ def test_exec_rejects_malformed_inputs(tmp_path, capsys):
     src = _gen(tmp_path)
     assert main(["exec", str(src), "--inputs", "1=two"]) == 2
     assert "id=value" in capsys.readouterr().err
+
+
+def test_exec_rejects_a_repeated_input_id(tmp_path, capsys):
+    g, names = build_div_graph()
+    src = tmp_path / "div.json"
+    save(g, src)
+    x, d = names["x"], names["d"]
+    assert main(["exec", str(src), "--inputs", f"{x}=1,{d}=2,{x}=9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --inputs names node {x} twice\n"
 
 
 def test_exec_rejects_out_of_range_inputs(tmp_path, capsys):

@@ -4,9 +4,12 @@ The benchmark's traced run reports per-layer metrics by wrapping firmfold
 functions under the names through which firmfold calls them. A renamed
 rule, or a call that no longer goes through the wrapped name, would leave
 its metrics absent or zero. This test runs the passes under the tracer and
-fails on either.
+fails on either, and on a value the benchmark's last line could not carry
+as plain JSON.
 """
 
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,3 +43,9 @@ def test_every_wrapped_name_exists_and_is_called():
     values = tracer.take()
     counted = [k for k in values if k.endswith(("attempts", "calls", "_s"))]
     assert [k for k in counted if values[k] <= 0] == []
+    # The benchmark prints these values as JSON: each must be a finite number.
+    not_finite = [
+        k for k, v in values.items() if type(v) not in (int, float) or not math.isfinite(v)
+    ]
+    assert not_finite == []
+    json.dumps(values, allow_nan=False)
