@@ -3,9 +3,10 @@
 Each rule is a predicate-guarded rewrite on one node; it returns True
 when it changed the graph. cleanup_round() runs the rules in a fixed
 order and drives each one to its own fixpoint before moving on.
-optimize() first deletes the unused nodes, so folding skips dead code,
-then alternates dataflow folding with cleanup rounds until neither side
-changes anything, verifying the graph on entry and on exit.
+optimize() first deletes the nodes nothing reads, so no fold is spent on
+dead input code, then alternates dataflow folding with cleanup rounds
+until neither side changes anything, verifying the graph on entry and on
+exit.
 """
 
 from __future__ import annotations
