@@ -1,8 +1,8 @@
 """Control-flow cleanup rules and the top-level optimize() driver.
 
-Each rule is a predicate-guarded rewrite on one node; it returns True
-when it changed the graph. cleanup_round() runs the rules in a fixed
-order and drives each one to its own fixpoint before moving on.
+Each rule returns True when it changed the graph. cleanup_round() runs
+them in a fixed order: remove_unreachable_block is one sweep over the
+whole graph, and each other rule rewrites one node and runs to its fixpoint.
 optimize() first deletes the nodes nothing reads, so no fold is spent on
 dead input code, then alternates dataflow folding with cleanup rounds
 until neither side changes anything, verifying the graph on entry and on
@@ -27,7 +27,6 @@ _DATAFLOW, _CONTROLFLOW = EdgeKind.DATAFLOW, EdgeKind.CONTROLFLOW
 _TRUE, _FALSE = EdgeKind.TRUE, EdgeKind.FALSE
 # The kind sets the cleanup sweeps visit.
 _CONDS, _BLOCKS, _PHIS = frozenset({_COND}), frozenset({_BLOCK}), frozenset({_PHI})
-_NON_ANCHOR_KINDS = frozenset(NodeKind) - ANCHOR_KINDS
 
 
 def fold_cond(g: FirmGraph, nid: int) -> bool:
@@ -60,24 +59,38 @@ def fold_cond(g: FirmGraph, nid: int) -> bool:
     return True
 
 
-def remove_unreachable_block(g: FirmGraph, nid: int) -> bool:
-    """Delete a block that no control edge can reach.
+def remove_unreachable_block(g: FirmGraph) -> bool:
+    """Delete every block but the end block that the start block cannot reach.
 
-    Members are left without a block, for unreachable-node removal; the
-    start and end blocks are never touched.
+    A Block's control edges point at its predecessors' transfer nodes, so
+    the Blocks' out-edges give the successor map the walk follows. Members
+    of a deleted block go through remove_unreachable_node in the same call,
+    so a dead chain or a dead loop goes at once.
     """
-    if nid not in g or g.node(nid).kind is not _BLOCK:
-        return False
-    if nid == g.start_block or nid == g.end_block:
-        return False
-    if g.control_in_edges(nid):
-        return False
-    g.delete_node(nid)
-    return True
+    blocks = [nid for nid, node in g.items() if node.kind is _BLOCK]
+    succs: dict[int | None, list[int]] = {}
+    for b in blocks:
+        for e in g.out_edges(b):
+            if e.kind is not _DATAFLOW:  # a control edge
+                succs.setdefault(g.node(e.dst).block, []).append(b)
+    reached = {g.start_block}
+    stack = [g.start_block]
+    while stack:
+        for b in succs.get(stack.pop(), ()):
+            if b not in reached:
+                reached.add(b)
+                stack.append(b)
+    dead = [b for b in blocks if b not in reached and b != g.end_block]
+    for b in dead:
+        members = g.members_of(b)
+        g.delete_node(b)
+        for m in members:
+            remove_unreachable_node(g, m)
+    return bool(dead)
 
 
 def remove_unreachable_node(g: FirmGraph, nid: int) -> bool:
-    """Delete a non-Block node that lost its containing block."""
+    """Delete a non-anchor node that lost its containing block."""
     if nid not in g:
         return False
     node = g.node(nid)
@@ -248,8 +261,7 @@ def cleanup_round(g: FirmGraph) -> bool:
     """
     changed = False
     changed |= _exhaust(g, fold_cond, _CONDS)
-    changed |= _exhaust(g, remove_unreachable_block, _BLOCKS)
-    changed |= _exhaust(g, remove_unreachable_node, _NON_ANCHOR_KINDS)
+    changed |= remove_unreachable_block(g)
     changed |= _exhaust(g, remove_unreachable_phi_operand, _PHIS)
     changed |= _exhaust(g, fix_edge_position, _BLOCKS)
     changed |= _exhaust(g, simplify_trivial_phi, _PHIS)

@@ -384,28 +384,13 @@ class FirmGraph:
         elif kind is not _BLOCK:
             raise GraphError(f"{kind.value} node needs a containing block")
 
-        nid = self._raw_add_node(kind, value, relation, volatile)
-        if block is not None:
-            self._join(nid, block)
-        return nid
-
-    def _raw_add_node(
-        self,
-        kind: NodeKind,
-        value: int | None,
-        relation: Relation | None,
-        volatile: bool | None,
-        nid: int | None = None,
-    ) -> int:
-        """Insert a node without legality checks, under nid or the next free id."""
-        if nid is None:
-            nid = self._next_id
-        elif nid in self._nodes:
-            raise GraphError(f"duplicate node id {nid}")
-        self._next_id = max(self._next_id, nid + 1)
+        nid = self._next_id
+        self._next_id += 1
         self._nodes[nid] = Node(kind, value, relation, volatile)
         self._out[nid] = []
         self._in[nid] = []
+        if block is not None:
+            self._join(nid, block)
         return nid
 
     @classmethod

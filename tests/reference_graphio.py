@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from firmfold.errors import FormatError, GraphError, NoBlockError
-from firmfold.ir import EdgeKind, FirmGraph, NodeKind, Relation
+from firmfold.ir import EdgeKind, FirmGraph, Node, NodeKind, Relation
 
 _NODE_KEYS = frozenset({"id", "kind", "value", "relation", "volatile", "block"})
 _EDGE_KEYS = frozenset({"src", "dst", "kind", "position"})
@@ -36,7 +36,7 @@ def from_payload(data) -> FirmGraph:
     if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
         raise FormatError("'nodes' and 'edges' must be arrays")
 
-    g = FirmGraph()
+    nodes: dict[int, Node] = {}
     pending_blocks: list[tuple[str, int, int]] = []
     for i, item in enumerate(data["nodes"]):
         ctx = f"nodes[{i}]"
@@ -70,13 +70,13 @@ def from_payload(data) -> FirmGraph:
             volatile = item["volatile"]
             if not isinstance(volatile, bool):
                 raise FormatError(f"{ctx}: 'volatile' must be a boolean")
-        try:
-            g._raw_add_node(kind, value, relation, volatile, nid=nid)
-        except GraphError as exc:
-            raise FormatError(f"{ctx}: {exc}") from None
+        if nid in nodes:
+            raise FormatError(f"{ctx}: duplicate node id {nid}")
+        nodes[nid] = Node(kind, value, relation, volatile)
         if "block" in item:
             pending_blocks.append((ctx, nid, _int_field(ctx, item, "block")))
 
+    g = FirmGraph._from_tables(nodes, [])
     for ctx, nid, block in pending_blocks:
         try:
             g.set_block(nid, block)

@@ -41,6 +41,10 @@ def _block_census(g):
     return sorted(n for n, node in g.items() if node.kind is NodeKind.BLOCK)
 
 
+def _kind_census(g):
+    return sorted(node.kind.value for _nid, node in g.items())
+
+
 def test_fold_cond_takes_the_true_branch():
     g, names = build_diamond(cond_const=1)
     assert fold_cond(g, names["cond"]) is True
@@ -69,14 +73,12 @@ def test_unreachable_block_then_node_removal():
     g, names = build_diamond(cond_const=0)
     fold_cond(g, names["cond"])
     then_b, then_jmp = names["then_b"], names["then_jmp"]
-    assert remove_unreachable_block(g, names["entry"]) is False  # start block
-    assert remove_unreachable_block(g, g.end_block) is False
-    assert remove_unreachable_block(g, names["join"]) is False  # still reachable
-    assert remove_unreachable_block(g, then_b) is True
-    assert then_b not in g
-    # the Jmp lost its home and goes next
-    assert remove_unreachable_node(g, then_jmp) is True
-    assert then_jmp not in g
+    assert remove_unreachable_block(g) is True
+    # the dead arm goes, and its Jmp with it, in the same call
+    assert then_b not in g and then_jmp not in g
+    # the start block, the end block and the still reachable join stay
+    assert names["entry"] in g and g.end_block in g and names["join"] in g
+    assert remove_unreachable_block(g) is False
     assert remove_unreachable_node(g, names["phi"]) is False  # still housed
 
 
@@ -84,8 +86,8 @@ def test_phi_operand_prune_renumber_and_simplify():
     g, names = build_diamond(cond_const=0)
     phi, join = names["phi"], names["join"]
     fold_cond(g, names["cond"])
-    remove_unreachable_block(g, names["then_b"])
-    remove_unreachable_node(g, names["then_jmp"])
+    remove_unreachable_block(g)
+    assert names["then_jmp"] not in g
 
     # predecessor 0 (the then side) is gone; the operand follows
     assert remove_unreachable_phi_operand(g, phi) is True
@@ -319,6 +321,68 @@ def test_optimize_keeps_infinite_loops():
     result = execute(g, max_steps=100)
     assert result.trapped == "step-limit"
     assert result.steps == 101
+
+
+def test_optimize_removes_a_dead_loop():
+    # The entry's Cond(Const 0) skips a loop whose header re-tests a
+    # volatile Load. Each loop block keeps a predecessor inside the loop,
+    # so only a walk from the start block shows the loop is dead.
+    g, entry, _ = func_graph()
+    zero = g.add_node(NodeKind.CONST, value=0, block=entry)
+    cond = g.add_node(NodeKind.COND, block=entry)
+    g.add_edge(cond, zero, DF, 0)
+    header = g.add_node(NodeKind.BLOCK)
+    body = g.add_node(NodeKind.BLOCK)
+    exit_b = g.add_node(NodeKind.BLOCK)
+    g.add_edge(header, cond, EdgeKind.TRUE, 0)
+    g.add_edge(exit_b, cond, EdgeKind.FALSE, 0)
+    addr = g.add_node(NodeKind.CONST, value=0, block=header)
+    load = g.add_node(NodeKind.LOAD, volatile=True, block=header)
+    g.add_edge(load, addr, DF, 0)
+    loop_cond = g.add_node(NodeKind.COND, block=header)
+    g.add_edge(loop_cond, load, DF, 0)
+    g.add_edge(body, loop_cond, EdgeKind.TRUE, 0)
+    g.add_edge(header, loop_cond, EdgeKind.FALSE, 1)
+    back = g.add_node(NodeKind.JMP, block=body)
+    g.add_edge(header, back, CF, 2)
+    ret = finish_return(g, exit_b, g.add_node(NodeKind.CONST, value=7, block=exit_b))
+    assert verify(g) == [] and len(g) == 15
+    assert execute(g).value == 7
+    optimize(g)
+    assert _kind_census(g) == ["Block", "Block", "Const", "End", "Return", "Start"]
+    (op, _pos), = g.operands_of(ret)
+    assert g.node(op).value == 7
+    assert verify(g) == []
+    assert execute(g).value == 7
+
+
+def test_optimize_removes_a_dead_chain_in_one_round():
+    # Cond(Const 1) never takes its False arm, a chain of three blocks
+    # that feeds operand 1 of the join's Phi.
+    g, entry, _ = func_graph()
+    one = g.add_node(NodeKind.CONST, value=1, block=entry)
+    taken = g.add_node(NodeKind.CONST, value=3, block=entry)
+    untaken = g.add_node(NodeKind.CONST, value=9, block=entry)
+    cond = g.add_node(NodeKind.COND, block=entry)
+    g.add_edge(cond, one, DF, 0)
+    join = g.add_node(NodeKind.BLOCK)
+    g.add_edge(join, cond, EdgeKind.TRUE, 0)
+    chain = [g.add_node(NodeKind.BLOCK) for _ in range(3)]
+    g.add_edge(chain[0], cond, EdgeKind.FALSE, 0)
+    for block, nxt in zip(chain, chain[1:]):
+        g.add_edge(nxt, g.add_node(NodeKind.JMP, block=block), CF, 0)
+    g.add_edge(join, g.add_node(NodeKind.JMP, block=chain[-1]), CF, 1)
+    phi = g.add_node(NodeKind.PHI, block=join)
+    g.add_edge(phi, taken, DF, 0)
+    g.add_edge(phi, untaken, DF, 1)
+    finish_return(g, join, phi)
+    assert verify(g) == []
+    assert execute(g).value == 3
+    rounds = []
+    optimize(g, on_round=lambda r, graph: rounds.append(r))
+    assert rounds == [1, 2]  # one working round, one quiet round
+    assert _kind_census(g) == ["Block", "Block", "Const", "End", "Return", "Start"]
+    assert execute(g).value == 3
 
 
 def test_optimize_leaves_a_real_loop_running():
