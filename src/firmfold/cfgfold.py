@@ -6,7 +6,9 @@ whole graph, and each other rule rewrites one node and runs to its fixpoint.
 optimize() first deletes the nodes nothing reads, so no fold is spent on
 dead input code, then alternates dataflow folding with cleanup rounds
 until neither side changes anything, verifying the graph on entry and on
-exit.
+exit. The unused-node sweep is FirmGraph.delete_unused in ir, one linear
+pass that deletes its whole retired set at once; optimize, cleanup_round
+and isel reach it through _exhaust_unused.
 """
 
 from __future__ import annotations
@@ -157,18 +159,16 @@ def simplify_trivial_phi(g: FirmGraph, nid: int) -> bool:
     return True
 
 
-def _is_removable_when_unused(g: FirmGraph, nid: int) -> bool:
-    node = g.node(nid)
-    return node.kind in PURE_KINDS and not node.volatile
-
-
 def remove_unused_node(g: FirmGraph, nid: int) -> bool:
     """Delete a pure value node nothing reads.
 
     Applies to Const, Not, the binary operations, Phi and non-volatile
     Load; control transfers and volatile memory accesses stay put.
     """
-    if nid not in g or not _is_removable_when_unused(g, nid):
+    if nid not in g:
+        return False
+    node = g.node(nid)
+    if node.kind not in PURE_KINDS or node.volatile:
         return False
     if g.in_edges(nid, _DATAFLOW):
         return False
@@ -228,28 +228,11 @@ def _exhaust(
 
 
 def _exhaust_unused(g: FirmGraph) -> bool:
-    """Counting form of remove_unused_node, run to its fixpoint.
-
-    Every removable node counts its Dataflow readers. A node at 0 is
-    retired and each of its operand edges takes one reader from its
-    target, so a dead chain goes in one pass; a cycle of dead nodes keeps
+    """remove_unused_node run to its fixpoint: FirmGraph.delete_unused, one
+    linear sweep that counts readers off the incidence tables and deletes
+    the retired set in one delete_nodes pass. A cycle of dead nodes keeps
     its readers and stays, as under remove_unused_node."""
-    readers = {
-        nid: len(g.in_edges(nid, _DATAFLOW))
-        for nid in g.node_ids()
-        if _is_removable_when_unused(g, nid)
-    }
-    retired = [nid for nid, count in readers.items() if count == 0]
-    # The loop visits what it appends, so retirement spreads down chains.
-    for nid in retired:
-        for e in g.out_edges(nid, _DATAFLOW):
-            if e.dst in readers:
-                readers[e.dst] -= 1
-                if readers[e.dst] == 0:
-                    retired.append(e.dst)
-    for nid in retired:
-        g.delete_node(nid)
-    return bool(retired)
+    return g.delete_unused()
 
 
 def cleanup_round(g: FirmGraph) -> bool:

@@ -14,6 +14,10 @@ the Block containing it, or is None once that Block is deleted, and the
 graph keeps one member set per Block. edge_count still counts each
 membership as one edge, the containment edge of the Firm model.
 
+Deletion is one linear pass, delete_nodes, which filters each surviving
+neighbour's incidence list once. The sweep of the nodes nothing reads,
+delete_unused, counts readers off the same tables and ends in one such pass.
+
 Node ids are ints handed out monotonically and never reused. Iterating
 the node table visits nodes in insertion order: ascending ids for a graph
 built through FirmGraph, the file's order for a loaded one.
@@ -26,7 +30,7 @@ kind sets and maps below it are views of that table.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import GraphError, NoBlockError
 
@@ -283,9 +287,10 @@ class FirmGraph:
 
     Mutators keep the incidence lists and the block memberships
     consistent; there is no way to leave a dangling edge or membership
-    through the public interface. Verification is a separate read-only
-    concern (see verifier.py), so structurally odd but representable graphs
-    are allowed here.
+    through the public interface; delete_nodes is the one routine that
+    removes nodes. Verification is a separate read-only concern (see
+    verifier.py), so structurally odd but representable graphs are allowed
+    here.
     """
 
     def __init__(self) -> None:
@@ -484,27 +489,85 @@ class FirmGraph:
     def delete_node(self, nid: int) -> None:
         """Remove a node and every incident edge; a deleted Block's members
         are left without a block."""
-        node = self.node(nid)
-        if node.kind is _START or node.kind is _END:
-            raise GraphError(f"refusing to delete the {node.kind.value} node")
-        seen: dict[int, Edge] = {}
-        for e in self._out[nid]:
-            seen[id(e)] = e
-        for e in self._in[nid]:
-            seen[id(e)] = e
-        for e in seen.values():
-            self._out[e.src].remove(e)
-            self._in[e.dst].remove(e)
-            self._edge_count -= 1
-        if node.block is not None:
-            self._members[node.block].discard(nid)
-            self._edge_count -= 1
-        for m in self._members.pop(nid, ()):
-            self._nodes[m].block = None
-            self._edge_count -= 1
-        del self._nodes[nid]
-        del self._out[nid]
-        del self._in[nid]
+        self.delete_nodes((nid,))
+
+    def delete_nodes(self, ids: Iterable[int]) -> None:
+        """Remove a set of nodes and every edge incident to any of them, in
+        one pass linear in their edges and their neighbours' lists.
+
+        Every id is checked before anything changes: an unknown id or the
+        Start or End node is a GraphError and leaves the graph as it was.
+        A repeated id counts once. Each surviving neighbour's incidence list
+        is filtered once, keeping its order, and the surviving members of a
+        deleted Block are left without a block.
+        """
+        nodes = self._nodes
+        doomed = set()
+        for nid in ids:
+            node = nodes.get(nid)
+            if node is None:
+                raise GraphError(f"unknown node id {nid}")
+            if node.kind is _START or node.kind is _END:
+                raise GraphError(f"refusing to delete the {node.kind.value} node")
+            doomed.add(nid)
+        out, inc, members = self._out, self._in, self._members
+        # An edge between two doomed nodes, or a self edge, is counted from
+        # its source's out-list only.
+        removed = 0
+        in_lists, out_lists = set(), set()
+        for nid in doomed:
+            for e in out.pop(nid):
+                removed += 1
+                if e.dst not in doomed:
+                    in_lists.add(e.dst)
+            for e in inc.pop(nid):
+                if e.src not in doomed:
+                    removed += 1
+                    out_lists.add(e.src)
+            block = nodes.pop(nid).block
+            if block is not None and block not in doomed:
+                members[block].discard(nid)
+                removed += 1
+            for m in members.pop(nid, ()):
+                removed += 1
+                if m not in doomed:
+                    nodes[m].block = None
+        for nid in in_lists:
+            inc[nid] = [e for e in inc[nid] if e.src not in doomed]
+        for nid in out_lists:
+            out[nid] = [e for e in out[nid] if e.dst not in doomed]
+        self._edge_count -= removed
+
+    def delete_unused(self) -> bool:
+        """Delete every pure, non-volatile node that no Dataflow edge reads,
+        down to the fixpoint; True when any went.
+
+        Each such node counts its Dataflow readers off its in-list. A node at
+        0 is retired, and each of its operand edges takes one reader from its
+        target, so a dead chain goes in one pass; a cycle of dead nodes keeps
+        its readers and stays. The retired set goes in one delete_nodes call.
+        """
+        readers = {}
+        inc = self._in
+        for nid, node in self._nodes.items():
+            if node.kind in PURE_KINDS and not node.volatile:
+                count = 0
+                for e in inc[nid]:
+                    if e.kind is _DATAFLOW:
+                        count += 1
+                readers[nid] = count
+        retired = [nid for nid, count in readers.items() if count == 0]
+        out = self._out
+        # The loop visits what it appends, so retirement spreads down chains.
+        for nid in retired:
+            for e in out[nid]:
+                dst = e.dst
+                if e.kind is _DATAFLOW and dst in readers:
+                    readers[dst] -= 1
+                    if readers[dst] == 0:
+                        retired.append(dst)
+        self.delete_nodes(retired)
+        return bool(retired)
 
     def retype_node(self, nid: int, new_kind: NodeKind) -> None:
         """Change a node's kind in place, keeping its id and edges.

@@ -1,9 +1,11 @@
 """Graph container: construction legality, mutation, and bookkeeping."""
 
+import copy
 import random
 
 import pytest
 
+import reference_ir
 from conftest import DF, build_add_graph, func_graph
 from firmfold.errors import GraphError, NoBlockError
 from firmfold.ir import EdgeKind, FirmGraph, NodeKind, Relation
@@ -177,6 +179,19 @@ def test_delete_node_refuses_anchor_nodes():
     start = [n for n, node in g.items() if node.kind is NodeKind.START][0]
     with pytest.raises(GraphError, match="refusing to delete"):
         g.delete_node(start)
+    x = g.add_node(NodeKind.CONST, value=1, block=entry)
+    y = g.add_node(NodeKind.NOT, block=entry)
+    g.add_edge(y, x, DF, 0)
+    before = g.signature(), g.edge_count
+    # A bad id anywhere in the set refuses the whole call, before any change.
+    with pytest.raises(GraphError, match="refusing to delete"):
+        g.delete_nodes([x, start])
+    with pytest.raises(GraphError, match="unknown node id"):
+        g.delete_nodes([x, 10**9])
+    assert (g.signature(), g.edge_count) == before
+    g.delete_nodes([x, x])  # a repeated id deletes the node once
+    assert x not in g and g.in_edges(y) == [] and g.out_edges(y) == []
+    assert g.edge_count == before[1] - 2  # its membership and y's operand edge
 
 
 def test_retype_node_keeps_legal_attributes():
@@ -378,6 +393,51 @@ def _check_bookkeeping(g):
         assert all(e.dst == nid and e in g.out_edges(e.src) for e in g.in_edges(nid))
 
 
+def _incidence_rows(g):
+    def rows(lst):
+        return [(e.src, e.dst, e.kind, e.position) for e in lst]
+
+    return (
+        {nid: rows(lst) for nid, lst in g._out.items()},
+        {nid: rows(lst) for nid, lst in g._in.items()},
+    )
+
+
+def _delete_several(g, rng, pool, blocks):
+    """Delete a sample through delete_nodes and, on a deep copy, one node at
+    a time through the reference; the two graphs must agree in every table.
+
+    The sample mixes pool members, a Block whose other members survive, an
+    Add with one of its operands (an edge between two doomed nodes), a
+    self-reading Phi and a repeated id."""
+    doomed = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+    user = rng.choice([nid for nid in pool if g.out_edges(nid)] or pool)
+    doomed += [user] + [e.dst for e in g.out_edges(user)][:1]
+    phi = g.add_node(NodeKind.PHI, block=rng.choice(blocks))
+    g.add_edge(phi, phi, DF, 0)
+    doomed.append(phi)
+    homes = [b for b in blocks[1:] if set(g.members_of(b)) - set(doomed)]
+    if homes:
+        victim = rng.choice(homes)
+        blocks.remove(victim)
+    else:
+        victim = g.add_node(NodeKind.BLOCK)
+        pool.append(g.add_node(NodeKind.CONST, value=7, block=victim))
+    doomed.append(victim)
+    doomed.append(rng.choice(doomed))
+    ref = copy.deepcopy(g)
+    for nid in dict.fromkeys(doomed):
+        reference_ir.delete_node(ref, nid)
+    g.delete_nodes(doomed)
+    pool[:] = [nid for nid in pool if nid in g]
+    assert g.signature() == ref.signature()
+    assert g.edge_count == ref.edge_count
+    assert [g.members_of(b) for b in blocks] == [ref.members_of(b) for b in blocks]
+    assert _incidence_rows(g) == _incidence_rows(ref)
+    if not pool:
+        pool.append(g.add_node(NodeKind.CONST, value=0, block=rng.choice(blocks)))
+
+
 def test_random_mutation_soak_keeps_bookkeeping_consistent():
     from firmfold.graphio import from_json, to_json
 
@@ -396,10 +456,13 @@ def test_random_mutation_soak_keeps_bookkeeping_consistent():
             g.add_edge(nid, rng.choice(pool), DF, 1)
             pool.append(nid)
             action = "add"
-        elif roll < 0.65:
+        elif roll < 0.58:
             # deleting drops edges of everything still pointing at it
             g.delete_node(pool.pop(rng.randrange(len(pool))))
             action = "delete member"
+        elif roll < 0.65:
+            _delete_several(g, rng, pool, blocks)
+            action = "delete several"
         elif roll < 0.72:
             blocks.append(g.add_node(NodeKind.BLOCK))
             action = "add block"
@@ -433,6 +496,6 @@ def test_random_mutation_soak_keeps_bookkeeping_consistent():
         seen.add(action)
         _check_bookkeeping(g)
     assert seen == {
-        "add", "delete member", "add block", "delete block", "merge blocks",
+        "add", "delete member", "delete several", "add block", "delete block", "merge blocks",
         "home orphan", "copy", "round trip",
     }
