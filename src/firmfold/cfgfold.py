@@ -3,12 +3,13 @@
 Each rule returns True when it changed the graph. cleanup_round() runs
 them in a fixed order: remove_unreachable_block is one sweep over the
 whole graph, and each other rule rewrites one node and runs to its fixpoint.
-optimize() first deletes the nodes nothing reads, so no fold is spent on
-dead input code, then alternates dataflow folding with cleanup rounds
-until neither side changes anything, verifying the graph on entry and on
-exit. The unused-node sweep is FirmGraph.delete_unused in ir, one linear
-pass that deletes its whole retired set at once; optimize, cleanup_round
-and isel reach it through _exhaust_unused.
+optimize() first deletes dead code, so no fold is spent on it, then
+alternates dataflow folding with cleanup rounds until neither side changes
+anything, verifying the graph on entry and on exit. The dead-code sweep is
+FirmGraph.delete_unused in ir, a mark-sweep that keeps the control
+transfers and memory accesses and what they read, and deletes the rest at
+once, dead cycles included; optimize, cleanup_round and isel reach it
+through _exhaust_unused.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 
 from .constfold import fold_dataflow_fixpoint
 from .errors import ContractError, GraphError, NoBlockError, VerificationError
-from .ir import ANCHOR_KINDS, COMMUTATIVE_KINDS, PURE_KINDS, EdgeKind, FirmGraph, NodeKind
+from .ir import ANCHOR_KINDS, COMMUTATIVE_KINDS, EdgeKind, FirmGraph, NodeKind
 from .verifier import verify
 from . import constfold
 
@@ -159,23 +160,6 @@ def simplify_trivial_phi(g: FirmGraph, nid: int) -> bool:
     return True
 
 
-def remove_unused_node(g: FirmGraph, nid: int) -> bool:
-    """Delete a pure value node nothing reads.
-
-    Applies to Const, Not, the binary operations, Phi and non-volatile
-    Load; control transfers and volatile memory accesses stay put.
-    """
-    if nid not in g:
-        return False
-    node = g.node(nid)
-    if node.kind not in PURE_KINDS or node.volatile:
-        return False
-    if g.in_edges(nid, _DATAFLOW):
-        return False
-    g.delete_node(nid)
-    return True
-
-
 def merge_blocks(g: FirmGraph, nid: int) -> bool:
     """Fold a block with a lone unconditional successor edge into the
     block holding the Jmp that reaches it.
@@ -228,10 +212,9 @@ def _exhaust(
 
 
 def _exhaust_unused(g: FirmGraph) -> bool:
-    """remove_unused_node run to its fixpoint: FirmGraph.delete_unused, one
-    linear sweep that counts readers off the incidence tables and deletes
-    the retired set in one delete_nodes pass. A cycle of dead nodes keeps
-    its readers and stays, as under remove_unused_node."""
+    """Delete every pure, non-volatile node that no live node reads, dead
+    cycles included: FirmGraph.delete_unused, one mark from the nodes that
+    are not pure and one delete_nodes pass."""
     return g.delete_unused()
 
 
@@ -259,7 +242,7 @@ def optimize(
     max_rounds: int | None = None,
     on_round: Callable[[int, FirmGraph], None] | None = None,
 ) -> bool:
-    """Delete unused nodes, then run dataflow folding and cleanup rounds to
+    """Delete dead code, then run dataflow folding and cleanup rounds to
     a joint fixpoint.
 
     The graph must verify cleanly going in and is verified again on the

@@ -13,6 +13,13 @@ block along predecessor position p first evaluates every Phi's operand
 at position p against the *old* values, then installs all updates at
 once. Reading a Phi just returns its current value.
 
+A Phi operand's trap is deferred: the Phi holds the trap instead of a
+value, and reading the Phi raises it, so a Phi that nothing reads traps no
+more than any other unread value. The step-limit trap is never deferred.
+An InterpreterError is not a trap and is not deferred either; optimize may
+delete the dead node that raises one, so it may turn such an error into a
+verdict.
+
 Volatile Loads read from the supplied inputs mapping, keyed by node id,
 whose values must lie in the 32-bit signed range; non-volatile Loads
 produce 0 and Stores are never demanded. Division by zero and exceeding
@@ -73,7 +80,7 @@ class _Machine:
         self.steps = 0
         self.epoch = 0
         self.memo: dict[int, tuple[int, int]] = {}
-        self.phi_values: dict[int, int] = {}
+        self.phi_values: dict[int, int | _Trap] = {}
         self._block_cache: dict[int, tuple[list[int], int | None]] = {}
 
     def _bump(self) -> None:
@@ -128,6 +135,8 @@ class _Machine:
                         f"Phi {nid} read before any predecessor assigned it"
                     ) from None
                 self._bump()
+                if type(value) is _Trap:
+                    raise value
                 memo[nid] = (epoch, value)
                 stack.pop()
                 continue
@@ -212,7 +221,12 @@ def execute(
                         raise InterpreterError(
                             f"Phi {phi} has no operand for predecessor position {entry_pos}"
                         )
-                    updates[phi] = m.eval(operand)
+                    try:
+                        updates[phi] = m.eval(operand)
+                    except _Trap as trap:
+                        if trap.reason == TRAP_STEP_LIMIT:
+                            raise
+                        updates[phi] = trap
                 m.epoch += 1
                 m.phi_values.update(updates)
             else:

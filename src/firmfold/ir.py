@@ -15,8 +15,8 @@ graph keeps one member set per Block. edge_count still counts each
 membership as one edge, the containment edge of the Firm model.
 
 Deletion is one linear pass, delete_nodes, which filters each surviving
-neighbour's incidence list once. The sweep of the nodes nothing reads,
-delete_unused, counts readers off the same tables and ends in one such pass.
+neighbour's incidence list once. The sweep of dead code, delete_unused,
+marks what live nodes read and ends in one such pass.
 
 Node ids are ints handed out monotonically and never reused. Iterating
 the node table visits nodes in insertion order: ascending ids for a graph
@@ -133,8 +133,8 @@ class OpInfo(NamedTuple):
     arity counts Dataflow operands (None: variable, at least one). value,
     relation and volatile say which attributes the kind carries; each is
     legal exactly where it is set. role holds ROLE_* bits. commutative lets
-    rewrites swap the two operands; pure lets cleanup delete a node nothing
-    reads, unless the node is volatile. op is the IR kind whose semantics
+    rewrites swap the two operands; pure lets cleanup delete a node no live
+    node reads, unless the node is volatile. op is the IR kind whose semantics
     the kind has (itself for an IR kind); plain and immediate are the target
     kinds instruction selection lowers an IR kind to.
     """
@@ -539,35 +539,27 @@ class FirmGraph:
         self._edge_count -= removed
 
     def delete_unused(self) -> bool:
-        """Delete every pure, non-volatile node that no Dataflow edge reads,
-        down to the fixpoint; True when any went.
+        """Delete every pure, non-volatile node that no live node reads; True
+        when any went.
 
-        Each such node counts its Dataflow readers off its in-list. A node at
-        0 is retired, and each of its operand edges takes one reader from its
-        target, so a dead chain goes in one pass; a cycle of dead nodes keeps
-        its readers and stays. The retired set goes in one delete_nodes call.
+        A mark-sweep: every node that is not pure, or is volatile, is live,
+        and so is every operand a live node's Dataflow edge reaches. The mark
+        visits only live code. Everything left unmarked, dead chains and dead
+        cycles alike, goes in one delete_nodes call.
         """
-        readers = {}
-        inc = self._in
-        for nid, node in self._nodes.items():
-            if node.kind in PURE_KINDS and not node.volatile:
-                count = 0
-                for e in inc[nid]:
-                    if e.kind is _DATAFLOW:
-                        count += 1
-                readers[nid] = count
-        retired = [nid for nid, count in readers.items() if count == 0]
-        out = self._out
-        # The loop visits what it appends, so retirement spreads down chains.
-        for nid in retired:
+        nodes, out = self._nodes, self._out
+        live = [nid for nid, node in nodes.items() if node.kind not in PURE_KINDS or node.volatile]
+        marked = set(live)
+        # The loop visits what it appends.
+        for nid in live:
             for e in out[nid]:
                 dst = e.dst
-                if e.kind is _DATAFLOW and dst in readers:
-                    readers[dst] -= 1
-                    if readers[dst] == 0:
-                        retired.append(dst)
-        self.delete_nodes(retired)
-        return bool(retired)
+                if e.kind is _DATAFLOW and dst not in marked:
+                    marked.add(dst)
+                    live.append(dst)
+        dead = nodes.keys() - marked
+        self.delete_nodes(dead)
+        return bool(dead)
 
     def retype_node(self, nid: int, new_kind: NodeKind) -> None:
         """Change a node's kind in place, keeping its id and edges.
@@ -618,11 +610,13 @@ class FirmGraph:
         self.node(to)
         if frm == to:
             raise GraphError("redirect_users needs two distinct nodes")
-        moved = [e for e in self._in[frm] if e.kind is _DATAFLOW]
+        moved, kept = [], []
+        for e in self._in[frm]:
+            (moved if e.kind is _DATAFLOW else kept).append(e)
+        self._in[frm] = kept
         for e in moved:
-            self._in[frm].remove(e)
             e.dst = to
-            self._in[to].append(e)
+        self._in[to].extend(moved)
         return len(moved)
 
     # -- derived views ----------------------------------------------------

@@ -34,7 +34,7 @@ def select_immediate(g: FirmGraph, nid: int) -> bool:
     0; with two Consts it takes the one at position 1, which keeps the
     pick deterministic. The node is retyped to its *I kind, takes c's value as
     an attribute, and drops c's operand edge. The Const itself stays; the
-    unused-node sweep afterwards collects it once every user let go."""
+    dead-code sweep afterwards collects it once no live node reads it."""
     if nid not in g:
         return False
     node = g.node(nid)

@@ -213,7 +213,9 @@ def test_criterion_07_immediate_encoding_census(capsys):
     text = "right-hand constants lower to immediates, none remain at position 0"
     with criterion(capsys, 7, text):
         absorbed = 0
-        for seed in range(100):
+        # 150 seeds: optimize deletes dead cycles, and the immediates they
+        # held, so 100 seeds no longer reach the floor below.
+        for seed in range(150):
             rng = random.Random(700_000 + seed)
             g = generate(seed, sized_gen_spec(rng))
             optimize(g)

@@ -26,15 +26,15 @@ from firmfold.cfgfold import (
     remove_unreachable_block,
     remove_unreachable_node,
     remove_unreachable_phi_operand,
-    remove_unused_node,
     simplify_trivial_phi,
 )
 from firmfold.constfold import fold_dataflow_fixpoint
-from firmfold.errors import ContractError, GraphError, VerificationError
+from firmfold.errors import ContractError, GraphError, InterpreterError, VerificationError
 from firmfold.graphio import to_json
 from firmfold.interp import execute
 from firmfold.ir import PURE_KINDS, EdgeKind, NodeKind
 from firmfold.verifier import verify
+from reference_dce import dead_nodes, remove_unused_node
 
 
 def _block_census(g):
@@ -144,21 +144,25 @@ def test_remove_unused_node_rules():
     assert remove_unused_node(g, addr) is False  # vol and store read it
 
 
-def _sweep_matches_the_oracle(g):
-    """_exhaust_unused deletes what remove_unused_node run to its fixpoint
-    deletes; returns the swept graph."""
+def _sweep_matches_the_references(g):
+    """_exhaust_unused deletes exactly the greatest dead set, a superset of
+    what remove_unused_node run to its fixpoint deletes; returns the swept
+    graph."""
     oracle, swept = g.copy(), g.copy()
-    oracle_fired = _exhaust(oracle, remove_unused_node, PURE_KINDS)
-    assert _exhaust_unused(swept) is oracle_fired
-    assert to_json(swept) == to_json(oracle)
+    _exhaust(oracle, remove_unused_node, PURE_KINDS)
+    dead = dead_nodes(g)
+    assert _exhaust_unused(swept) is bool(dead)
+    deleted = set(g.node_ids()) - set(swept.node_ids())
+    assert deleted == dead
+    assert deleted >= set(g.node_ids()) - set(oracle.node_ids())
     return swept
 
 
-def test_unused_sweep_matches_the_per_node_rule_on_the_golden_corpus():
+def test_unused_sweep_matches_the_references_on_the_golden_corpus():
     for g in golden_corpus():
-        _sweep_matches_the_oracle(g)
+        _sweep_matches_the_references(g)
         fold_dataflow_fixpoint(g)
-        _sweep_matches_the_oracle(g)
+        _sweep_matches_the_references(g)
 
 
 def test_unused_sweep_deletes_a_dead_chain():
@@ -171,7 +175,7 @@ def test_unused_sweep_deletes_a_dead_chain():
     g.add_edge(add, c2, DF, 1)
     neg = g.add_node(NodeKind.NOT, block=entry)
     g.add_edge(neg, add, DF, 0)
-    swept = _sweep_matches_the_oracle(g)
+    swept = _sweep_matches_the_references(g)
     assert not {c1, c2, add, neg} & set(swept.node_ids())
     assert {names["a"], names["b"], names["add"]} <= set(swept.node_ids())
 
@@ -183,30 +187,79 @@ def test_unused_sweep_counts_each_operand_edge():
     double = g.add_node(NodeKind.ADD, block=entry)
     g.add_edge(double, x, DF, 0)
     g.add_edge(double, x, DF, 1)
-    swept = _sweep_matches_the_oracle(g)
+    swept = _sweep_matches_the_references(g)
     assert x not in swept and double not in swept
     # With a live reader beside the dead Add(x, x), x stays.
     live = g.add_node(NodeKind.NOT, block=entry)
     g.add_edge(live, x, DF, 0)
     g.retarget_edge(g.in_edges(names["add"], DF)[0], live)
-    swept = _sweep_matches_the_oracle(g)
+    swept = _sweep_matches_the_references(g)
     assert double not in swept and x in swept and live in swept
 
 
-def test_unused_sweep_keeps_dead_cycles():
+def _same_verdict(before, after, inputs=None):
+    """Both graphs give one verdict; returns their step counts."""
+    a, b = execute(before, inputs), execute(after, inputs)
+    assert (a.value, a.trapped) == (b.value, b.trapped)
+    return a.steps, b.steps
+
+
+def test_unused_sweep_deletes_a_self_reading_phi():
+    g, names = build_counting_loop(bound=5)
+    seven = g.add_node(NodeKind.CONST, value=7, block=names["entry"])
+    idle = g.add_node(NodeKind.PHI, block=names["header"])
+    g.add_edge(idle, seven, DF, 0)
+    g.add_edge(idle, idle, DF, 1)
+    oracle = g.copy()
+    assert _exhaust(oracle, remove_unused_node, PURE_KINDS) is False
+    swept = _sweep_matches_the_references(g)
+    assert set(g.node_ids()) - set(swept.node_ids()) == {seven, idle}
+    steps_before, steps_after = _same_verdict(g, swept)
+    assert execute(swept).value == 5 and steps_after < steps_before
+
+
+def test_unused_sweep_deletes_a_dead_phi_add_cycle():
     g, names = build_add_graph()
     entry = names["entry"]
-    loop = g.add_node(NodeKind.PHI, block=entry)
-    g.add_edge(loop, loop, DF, 0)
     c = g.add_node(NodeKind.CONST, value=1, block=entry)
     phi = g.add_node(NodeKind.PHI, block=entry)
     add = g.add_node(NodeKind.ADD, block=entry)
     g.add_edge(phi, add, DF, 0)
     g.add_edge(add, phi, DF, 0)
     g.add_edge(add, c, DF, 1)
-    swept = _sweep_matches_the_oracle(g)
-    assert {loop, c, phi, add} <= set(swept.node_ids())
+    oracle = g.copy()
+    assert _exhaust(oracle, remove_unused_node, PURE_KINDS) is False
+    swept = _sweep_matches_the_references(g)
+    assert set(g.node_ids()) - set(swept.node_ids()) == {c, phi, add}
+    _same_verdict(g, swept)
+    assert execute(swept).value == 3
     assert _exhaust_unused(swept) is False
+
+
+def test_optimize_deletes_an_unread_loop_accumulator():
+    # The generator's loop shape: acc = Phi(0, acc_next) in the header,
+    # acc_next = acc + 1 in the body, and nothing else reads either.
+    g, names = build_counting_loop(bound=5)
+    zero = g.add_node(NodeKind.CONST, value=0, block=names["entry"])
+    one = g.add_node(NodeKind.CONST, value=1, block=names["body"])
+    acc = g.add_node(NodeKind.PHI, block=names["header"])
+    acc_next = g.add_node(NodeKind.ADD, block=names["body"])
+    g.add_edge(acc, zero, DF, 0)
+    g.add_edge(acc, acc_next, DF, 1)
+    g.add_edge(acc_next, acc, DF, 0)
+    g.add_edge(acc_next, one, DF, 1)
+    assert verify(g) == []
+    oracle = g.copy()
+    _exhaust(oracle, remove_unused_node, PURE_KINDS)
+    assert {acc, acc_next} <= set(oracle.node_ids())
+    optimized = g.copy()
+    optimize(optimized)
+    assert not {zero, one, acc, acc_next} & set(optimized.node_ids())
+    steps_before, steps_after = _same_verdict(g, optimized)
+    assert execute(optimized).value == 5
+    # Each of the six header entries evaluated acc's operand, and each of
+    # the five trips through the body acc_next's.
+    assert steps_before - steps_after >= 11
 
 
 def test_unused_sweep_keeps_volatile_loads_and_stores():
@@ -220,7 +273,7 @@ def test_unused_sweep_keeps_volatile_loads_and_stores():
     g.add_edge(store, c, DF, 1)
     plain = g.add_node(NodeKind.LOAD, block=entry)
     g.add_edge(plain, addr, DF, 0)
-    swept = _sweep_matches_the_oracle(g)
+    swept = _sweep_matches_the_references(g)
     assert {addr, c, vol, store} <= set(swept.node_ids())
     assert plain not in swept
 
@@ -313,6 +366,56 @@ def test_optimize_keeps_divide_by_zero():
     assert g.node(names["div"]).kind is NodeKind.DIV
     result = execute(g, {names["x"]: 7})
     assert result.trapped == "divide-by-zero"
+
+
+def test_optimize_deletes_an_unread_phi_over_a_trapping_div():
+    # The Div's trap is deferred into the Phi nobody reads, so the graph
+    # returns 7 before optimize as well as after.
+    g, entry, _ = func_graph()
+    loads = []
+    for addr_value in (0, 1):
+        addr = g.add_node(NodeKind.CONST, value=addr_value, block=entry)
+        loads.append(g.add_node(NodeKind.LOAD, volatile=True, block=entry))
+        g.add_edge(loads[-1], addr, DF, 0)
+    x, d = loads
+    div = g.add_node(NodeKind.DIV, block=entry)
+    g.add_edge(div, x, DF, 0)
+    g.add_edge(div, d, DF, 1)
+    jmp = g.add_node(NodeKind.JMP, block=entry)
+    after = g.add_node(NodeKind.BLOCK)
+    g.add_edge(after, jmp, CF, 0)
+    phi = g.add_node(NodeKind.PHI, block=after)
+    g.add_edge(phi, div, DF, 0)
+    finish_return(g, after, g.add_node(NodeKind.CONST, value=7, block=after))
+    assert verify(g) == [] and len(g) == 14
+    inputs = {x: 5, d: 0}
+    assert execute(g, inputs).value == 7
+    optimized = g.copy()
+    optimize(optimized)
+    assert len(optimized) == 10 and div not in optimized and phi not in optimized
+    assert execute(optimized, inputs).value == 7
+
+
+def test_optimize_refines_a_phi_read_before_its_sibling_is_assigned():
+    # On first entry p1 reads its sibling p2, which holds no value yet: an
+    # InterpreterError, not a trap. Neither Phi is read, so optimize deletes
+    # both, and the graph returns 3.
+    g, entry, _ = func_graph()
+    one = g.add_node(NodeKind.CONST, value=1, block=entry)
+    jmp = g.add_node(NodeKind.JMP, block=entry)
+    after = g.add_node(NodeKind.BLOCK)
+    g.add_edge(after, jmp, CF, 0)
+    p2 = g.add_node(NodeKind.PHI, block=after)
+    g.add_edge(p2, one, DF, 0)
+    p1 = g.add_node(NodeKind.PHI, block=after)
+    g.add_edge(p1, p2, DF, 0)
+    finish_return(g, after, g.add_node(NodeKind.CONST, value=3, block=after))
+    assert verify(g) == []
+    with pytest.raises(InterpreterError, match="read before any predecessor"):
+        execute(g)
+    optimize(g)
+    assert p1 not in g and p2 not in g
+    assert execute(g).value == 3
 
 
 def test_optimize_keeps_infinite_loops():

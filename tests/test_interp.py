@@ -76,6 +76,45 @@ def test_divide_by_zero_traps():
     assert trapped.value is None
 
 
+def _phi_over_div(reads):
+    """Return(Const 7), or Return(Phi(Phi(Div(x, d)))) when reads, with each
+    Phi in its own block after the entry; returns (graph, x, d)."""
+    g, names = build_div_graph()
+    block = g.block_of(names["div"])
+    g.delete_node(names["ret"])
+    value = names["div"]
+    for _ in range(2):
+        jmp = g.add_node(NodeKind.JMP, block=block)
+        block = g.add_node(NodeKind.BLOCK)
+        g.add_edge(block, jmp, EdgeKind.CONTROLFLOW, 0)
+        phi = g.add_node(NodeKind.PHI, block=block)
+        g.add_edge(phi, value, DF, 0)
+        value = phi
+    if not reads:
+        value = g.add_node(NodeKind.CONST, value=7, block=block)
+    finish_return(g, block, value)
+    return g, names["x"], names["d"]
+
+
+def test_a_phi_operand_trap_waits_for_a_read():
+    g, x, d = _phi_over_div(reads=False)
+    assert execute(g, {x: 5, d: 0}).value == 7
+    g, x, d = _phi_over_div(reads=True)
+    assert execute(g, {x: 5, d: 2}).value == 2
+    # The Div's trap passes from the inner Phi to the outer, which the
+    # Return reads.
+    assert execute(g, {x: 5, d: 0}).trapped == TRAP_DIV_BY_ZERO
+
+
+def test_a_step_limit_in_a_phi_operand_is_not_deferred():
+    g, x, d = _phi_over_div(reads=False)
+    full = execute(g, {x: 5, d: 1})
+    assert full.value == 7
+    # The budget runs out while the Phi operands are evaluated.
+    cut = execute(g, {x: 5, d: 1}, max_steps=3)
+    assert cut.trapped == TRAP_STEP_LIMIT and cut.steps == 4
+
+
 def test_divide_by_const_zero_traps_instead_of_folding():
     g, names = build_div_graph(divisor_const=0)
     assert execute(g, {names["x"]: 1}).trapped == TRAP_DIV_BY_ZERO
