@@ -1,7 +1,7 @@
 """firmfold: local optimization and instruction selection on a graph IR.
 
 The package models functions as typed multigraphs (ir), checks their
-structure (verifier), folds constants with a worklist (constfold),
+structure (verifier), folds constants in wavefronts (constfold),
 simplifies control flow (cfgfold), lowers to target kinds (isel),
 interprets graphs for differential testing (interp), and round-trips
 them through JSON and DOT (graphio). cli wires it all into a command.

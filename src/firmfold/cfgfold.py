@@ -1,15 +1,16 @@
 """Control-flow cleanup rules and the top-level optimize() driver.
 
-Each rule returns True when it changed the graph. cleanup_round() runs
-them in a fixed order: remove_unreachable_block is one sweep over the
-whole graph, and each other rule rewrites one node and runs to its fixpoint.
-optimize() first deletes dead code, so no fold is spent on it, then
-alternates dataflow folding with cleanup rounds until neither side changes
-anything, verifying the graph on entry and on exit. The dead-code sweep is
-FirmGraph.delete_unused in ir, a mark-sweep that keeps the control
-transfers and memory accesses and what they read, and deletes the rest at
-once, dead cycles included; optimize, cleanup_round and isel reach it
-through _exhaust_unused.
+Each rule returns True when it changed the graph. cleanup_round() applies
+each once, in a fixed order: remove_unreachable_block works on the whole
+graph, and each other rule rewrites one node and is tried once on every
+node of its kind. optimize() first deletes dead code, so no fold is spent
+on it, then alternates dataflow folding with cleanup rounds until neither
+side changes anything, verifying the graph on entry and on exit; its round
+loop is the only one that repeats cleanup until quiet. The dead-code
+sweep is FirmGraph.delete_unused in ir, a mark-sweep that keeps the
+control transfers and memory accesses and what they read, and deletes the
+rest at once, dead cycles included; optimize, cleanup_round and isel
+reach it through _exhaust_unused.
 """
 
 from __future__ import annotations
@@ -194,21 +195,18 @@ def merge_blocks(g: FirmGraph, nid: int) -> bool:
     return True
 
 
-def _exhaust(
+def _sweep(
     g: FirmGraph, rule: Callable[[FirmGraph, int], object], kinds: frozenset[NodeKind]
 ) -> bool:
-    """Apply one rule to every node whose kind is in kinds, repeating until
-    quiet. The rule fires when it returns anything but None or False."""
-    fired_ever = False
-    while True:
-        fired = False
-        for nid in [n for n, node in g.items() if node.kind in kinds]:
-            result = rule(g, nid)
-            if result is not None and result is not False:
-                fired = True
-        if not fired:
-            return fired_ever
-        fired_ever = True
+    """Apply one rule once to every node whose kind is in kinds; True when
+    it fired anywhere. The rule fires when it returns anything but None or
+    False."""
+    fired = False
+    for nid in [n for n, node in g.items() if node.kind in kinds]:
+        result = rule(g, nid)
+        if result is not None and result is not False:
+            fired = True
+    return fired
 
 
 def _exhaust_unused(g: FirmGraph) -> bool:
@@ -219,21 +217,22 @@ def _exhaust_unused(g: FirmGraph) -> bool:
 
 
 def cleanup_round(g: FirmGraph) -> bool:
-    """One round of structural cleanup; True when anything changed.
+    """One round of structural cleanup, each rule in one sweep; True when
+    anything changed. What a later rule enables waits for the next round.
 
     Rule order matters: conditions fold before reachability is
     recomputed, Phi operands are pruned before positions are renumbered,
     and block merging runs last over the settled shape.
     """
     changed = False
-    changed |= _exhaust(g, fold_cond, _CONDS)
+    changed |= _sweep(g, fold_cond, _CONDS)
     changed |= remove_unreachable_block(g)
-    changed |= _exhaust(g, remove_unreachable_phi_operand, _PHIS)
-    changed |= _exhaust(g, fix_edge_position, _BLOCKS)
-    changed |= _exhaust(g, simplify_trivial_phi, _PHIS)
-    changed |= _exhaust(g, constfold.fold_assoc_comm, COMMUTATIVE_KINDS)
+    changed |= _sweep(g, remove_unreachable_phi_operand, _PHIS)
+    changed |= _sweep(g, fix_edge_position, _BLOCKS)
+    changed |= _sweep(g, simplify_trivial_phi, _PHIS)
+    changed |= _sweep(g, constfold.fold_assoc_comm, COMMUTATIVE_KINDS)
     changed |= _exhaust_unused(g)
-    changed |= _exhaust(g, merge_blocks, _BLOCKS)
+    changed |= _sweep(g, merge_blocks, _BLOCKS)
     return changed
 
 

@@ -1,11 +1,11 @@
-"""Dataflow constant folding driven by a two-set worklist.
+"""Dataflow constant folding in wavefronts.
 
-The worklist keeps candidate node ids in a `now` set and collects the
-users of freshly created constants in a `next` set. One wavefront step
-visits the `now` ids in ascending order and tries, per node, to fold a
-Not, then a binary operation, then a Phi. Folding replaces the node with
-a Const, so each productive visit shrinks the graph; ids that died or
-were already rewritten by an earlier visit are skipped.
+fold_dataflow_fixpoint seeds its first front with the users of every
+Const. It visits each front in ascending id order and tries, per node, to
+fold a Not, then a binary operation, then a Phi. Folding replaces the node
+with a Const, whose users go into the next front, so each productive visit
+shrinks the graph; ids that an earlier visit deleted are skipped. Folding
+stops at the first empty front.
 
 Individual rules are exposed as functions; each returns the id of the
 Const the node collapsed to, or None when the pattern does not apply.
@@ -14,44 +14,12 @@ Const the node collapsed to, or None when the pattern does not apply.
 from __future__ import annotations
 
 from .arith import apply_binary, apply_not
-from .errors import GraphError, NoBlockError
+from .errors import NoBlockError
 from .ir import BINARY_KINDS, COMMUTATIVE_KINDS, Edge, EdgeKind, FirmGraph, NodeKind
 
 # Enum members as module globals: see the note in ir.
 _CONST, _NOT, _PHI = NodeKind.CONST, NodeKind.NOT, NodeKind.PHI
 _DATAFLOW = EdgeKind.DATAFLOW
-
-
-class Worklist:
-    """Two node-id sets with O(1) swap, reusing the cleared set."""
-
-    __slots__ = ("now", "next")
-
-    def __init__(self) -> None:
-        self.now: set[int] = set()
-        self.next: set[int] = set()
-
-    def swap(self) -> None:
-        self.now.clear()
-        self.now, self.next = self.next, self.now
-
-
-def collect_const_users(g: FirmGraph, const: int | None, into: set[int]) -> bool:
-    """Add the users of one Const (or of every Const) to a set.
-
-    Returns True when the set actually grew.
-    """
-    if const is None:
-        sources = [nid for nid, n in g.items() if n.kind is _CONST]
-    else:
-        if const not in g or g.node(const).kind is not _CONST:
-            raise GraphError(f"node {const} is not a live Const")
-        sources = [const]
-    before = len(into)
-    for c in sources:
-        for e in g.in_edges(c, _DATAFLOW):
-            into.add(e.src)
-    return len(into) > before
 
 
 def _replace_with_const(g: FirmGraph, nid: int, value: int) -> int | None:
@@ -137,19 +105,9 @@ def _split_const(g: FirmGraph, nid: int) -> tuple[Edge, Edge] | None:
     return (first, second) if first_const else (second, first)
 
 
-def fold_assoc_comm(g: FirmGraph, nid: int) -> int | None:
-    """Reassociate (x K c1) K c2 into x K c3 for commutative K.
-
-    The two constants meet in a fresh Const c3 = c1 K c2 placed in the
-    outer node's block; the outer node keeps its id with x at position 0
-    and c3 at position 1. The inner node and the old constants are left
-    for unused-node removal. Returns c3, or None if the shape is absent.
-    """
-    if nid not in g:
-        return None
-    kind = g.node(nid).kind
-    if kind not in COMMUTATIVE_KINDS:
-        return None
+def _reassociate(g: FirmGraph, nid: int, kind: NodeKind) -> int | None:
+    """Rewrite (x K c1) K c2 at nid into x K c3; returns c3, or None if the
+    shape is absent."""
     outer = _split_const(g, nid)
     if outer is None:
         return None
@@ -177,36 +135,46 @@ def fold_assoc_comm(g: FirmGraph, nid: int) -> int | None:
     return c3
 
 
-def wavefront_step(g: FirmGraph, wl: Worklist) -> bool:
-    """Visit wl.now once, collecting users of new Consts into wl.next.
+def fold_assoc_comm(g: FirmGraph, nid: int) -> int | None:
+    """Reassociate (x K c1) K c2 into x K c3 for commutative K, and again
+    while the rewritten node still has that shape, so one call settles a
+    whole chain (...(x K c1) K c2...) K ck.
 
-    Returns True when at least one node folded.
+    Each step's two constants meet in a fresh Const c3 = c1 K c2 placed in
+    the outer node's block; the outer node keeps its id with x at position
+    0 and c3 at position 1. The inner nodes and the old constants are left
+    for unused-node removal. Returns the last c3, or None if the shape is
+    absent.
     """
-    fired = False
-    for nid in sorted(wl.now):
-        if nid not in g:
-            continue
-        const = fold_not(g, nid)
-        if const is None:
-            const = fold_binary(g, nid)
-        if const is None:
-            const = fold_phi(g, nid)
-        if const is not None:
-            fired = True
-            collect_const_users(g, const, wl.next)
-    return fired
+    if nid not in g:
+        return None
+    kind = g.node(nid).kind
+    if kind not in COMMUTATIVE_KINDS:
+        return None
+    last = None
+    while (c3 := _reassociate(g, nid, kind)) is not None:
+        last = c3
+    return last
 
 
 def fold_dataflow_fixpoint(g: FirmGraph) -> bool:
-    """Seed with the users of all Consts, then step wavefronts to rest.
-
-    Returns True when anything folded.
-    """
-    wl = Worklist()
-    collect_const_users(g, None, wl.now)
+    """Fold wavefronts from the users of every Const until a front is
+    empty. Returns True when anything folded."""
+    consts = [nid for nid, node in g.items() if node.kind is _CONST]
+    front = {e.src for c in consts for e in g.in_edges(c, _DATAFLOW)}
     changed = False
-    while wl.now:
-        if wavefront_step(g, wl):
-            changed = True
-        wl.swap()
+    while front:
+        users: set[int] = set()
+        for nid in sorted(front):
+            if nid not in g:
+                continue
+            const = fold_not(g, nid)
+            if const is None:
+                const = fold_binary(g, nid)
+            if const is None:
+                const = fold_phi(g, nid)
+            if const is not None:
+                changed = True
+                users.update(e.src for e in g.in_edges(const, _DATAFLOW))
+        front = users
     return changed

@@ -635,13 +635,7 @@ class FirmGraph:
     def operands_of(self, nid: int) -> list[tuple[int, int]]:
         """(operand id, position) pairs, ordered by position then id."""
         self.node(nid)
-        pairs = [
-            (e.dst, e.position)
-            for e in self._out[nid]
-            if e.kind is _DATAFLOW
-        ]
-        pairs.sort(key=lambda p: (p[1], p[0]))
-        return pairs
+        return [(e.dst, e.position) for e in self.operand_edges(nid)]
 
     def operand_edges(self, nid: int) -> list[Edge]:
         edges = [e for e in self._out.get(nid, ()) if e.kind is _DATAFLOW]

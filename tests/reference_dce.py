@@ -1,9 +1,9 @@
 """Two references for the dead-code sweep, FirmGraph.delete_unused.
 
 remove_unused_node is the earlier per-node rule, once a cleanup rule in
-cfgfold: run to its fixpoint it deletes the *least* dead set, since a node
-goes only once nothing reads it and a dead cycle keeps its readers. The
-mark-sweep must delete a superset of that.
+cfgfold. remove_unused_to_fixpoint runs it until quiet and so deletes the
+*least* dead set, since a node goes only once nothing reads it and a dead
+cycle keeps its readers. The mark-sweep must delete a superset of that.
 
 dead_nodes is the *greatest* dead set, computed naively from the readers'
 side: start from every pure, non-volatile node and drop, until nothing
@@ -31,6 +31,17 @@ def remove_unused_node(g: FirmGraph, nid: int) -> bool:
         return False
     g.delete_node(nid)
     return True
+
+
+def remove_unused_to_fixpoint(g: FirmGraph) -> bool:
+    """Sweep remove_unused_node over the pure nodes until a sweep deletes
+    nothing; True when anything was deleted."""
+    deleted = False
+    while True:
+        pure = [nid for nid, node in g.items() if node.kind in PURE_KINDS]
+        if not any([remove_unused_node(g, nid) for nid in pure]):
+            return deleted
+        deleted = True
 
 
 def dead_nodes(g: FirmGraph) -> set[int]:

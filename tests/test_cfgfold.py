@@ -15,8 +15,8 @@ from conftest import (
     func_graph,
     golden_corpus,
 )
+from firmfold import cfgfold
 from firmfold.cfgfold import (
-    _exhaust,
     _exhaust_unused,
     cleanup_round,
     fix_edge_position,
@@ -31,9 +31,9 @@ from firmfold.cfgfold import (
 from firmfold.constfold import fold_dataflow_fixpoint
 from firmfold.errors import ContractError, GraphError, InterpreterError, VerificationError
 from firmfold.interp import execute
-from firmfold.ir import PURE_KINDS, EdgeKind, NodeKind
+from firmfold.ir import EdgeKind, NodeKind
 from firmfold.verifier import verify
-from reference_dce import dead_nodes, remove_unused_node
+from reference_dce import dead_nodes, remove_unused_node, remove_unused_to_fixpoint
 
 
 def _block_census(g):
@@ -148,7 +148,7 @@ def _sweep_matches_the_references(g):
     what remove_unused_node run to its fixpoint deletes; returns the swept
     graph."""
     oracle, swept = g.copy(), g.copy()
-    _exhaust(oracle, remove_unused_node, PURE_KINDS)
+    remove_unused_to_fixpoint(oracle)
     dead = dead_nodes(g)
     assert _exhaust_unused(swept) is bool(dead)
     deleted = set(g.node_ids()) - set(swept.node_ids())
@@ -210,7 +210,7 @@ def test_unused_sweep_deletes_a_self_reading_phi():
     g.add_edge(idle, seven, DF, 0)
     g.add_edge(idle, idle, DF, 1)
     oracle = g.copy()
-    assert _exhaust(oracle, remove_unused_node, PURE_KINDS) is False
+    assert remove_unused_to_fixpoint(oracle) is False
     swept = _sweep_matches_the_references(g)
     assert set(g.node_ids()) - set(swept.node_ids()) == {seven, idle}
     before, after = _same_verdict(g, swept)
@@ -227,7 +227,7 @@ def test_unused_sweep_deletes_a_dead_phi_add_cycle():
     g.add_edge(add, phi, DF, 0)
     g.add_edge(add, c, DF, 1)
     oracle = g.copy()
-    assert _exhaust(oracle, remove_unused_node, PURE_KINDS) is False
+    assert remove_unused_to_fixpoint(oracle) is False
     swept = _sweep_matches_the_references(g)
     assert set(g.node_ids()) - set(swept.node_ids()) == {c, phi, add}
     _before, after = _same_verdict(g, swept)
@@ -249,7 +249,7 @@ def test_optimize_deletes_an_unread_loop_accumulator():
     g.add_edge(acc_next, one, DF, 1)
     assert verify(g) == []
     oracle = g.copy()
-    _exhaust(oracle, remove_unused_node, PURE_KINDS)
+    remove_unused_to_fixpoint(oracle)
     assert {acc, acc_next} <= set(oracle.node_ids())
     optimized = g.copy()
     optimize(optimized)
@@ -327,6 +327,21 @@ def test_cleanup_round_settles_a_static_diamond():
     assert cleanup_round(g) is False
     result = execute(g)
     assert result.ok and result.value == 20
+
+
+def test_one_sweep_per_rule_settles_the_golden_corpus(monkeypatch):
+    # optimize's round loop is the only loop that repeats cleanup: a second
+    # sweep of each rule, right after its sweep in cleanup_round, finds nothing.
+    sweep = cfgfold._sweep
+
+    def sweep_twice(g, rule, kinds):
+        fired = sweep(g, rule, kinds)
+        assert sweep(g, rule, kinds) is False, rule.__name__
+        return fired
+
+    monkeypatch.setattr(cfgfold, "_sweep", sweep_twice)
+    for g in golden_corpus():
+        optimize(g)
 
 
 def test_optimize_static_diamond_end_to_end():

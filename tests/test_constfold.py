@@ -1,25 +1,25 @@
-"""Folding rules and the two-set wavefront driver.
+"""Folding rules and the wavefront driver, fold_dataflow_fixpoint.
 
-The step-count tests pin down the visit order: ids are handed out
-monotonically and a wavefront visits ascending, so a chain built
-outermost-first needs one wavefront per link, while the same chain built
-innermost-first cascades through in a single wavefront.
+The driver tests pin down the visit order by recording the calls it makes
+through constfold.fold_not, the first rule it tries on every visit: ids
+are handed out monotonically and a front is visited ascending, so a chain
+built outermost-first needs one front per link, while the same chain
+built innermost-first cascades through in a single front.
 """
 
 import pytest
 
 from conftest import DF, build_add_graph, finish_return, func_graph
+from firmfold import constfold
+from firmfold.cfgfold import optimize
 from firmfold.constfold import (
-    Worklist,
-    collect_const_users,
     fold_assoc_comm,
     fold_binary,
     fold_dataflow_fixpoint,
     fold_not,
     fold_phi,
-    wavefront_step,
 )
-from firmfold.errors import GraphError
+from firmfold.interp import execute
 from firmfold.ir import EdgeKind, NodeKind, Relation
 
 
@@ -30,28 +30,32 @@ def _only_const_value(g, user):
     return node.value
 
 
-def test_worklist_swap_reuses_sets():
-    wl = Worklist()
-    wl.now.add(1)
-    wl.next.add(2)
-    old_now, old_next = wl.now, wl.next
-    wl.swap()
-    assert wl.now == {2}
-    assert wl.next == set()
-    assert wl.now is old_next
-    assert wl.next is old_now
+def _record_visits(monkeypatch):
+    """The (id, live) pairs fold_dataflow_fixpoint hands to fold_not, in
+    call order."""
+    visits = []
+    rule = constfold.fold_not
+
+    def recording(g, nid):
+        visits.append((nid, nid in g))
+        return rule(g, nid)
+
+    monkeypatch.setattr(constfold, "fold_not", recording)
+    return visits
 
 
-def test_collect_const_users():
+def test_first_front_is_the_users_of_every_const(monkeypatch):
     g, names = build_add_graph()
-    into = set()
-    assert collect_const_users(g, None, into) is True
-    assert into == {names["add"]}
-    assert collect_const_users(g, names["a"], into) is False  # nothing new
-    with pytest.raises(GraphError, match="not a live Const"):
-        collect_const_users(g, names["add"], into)
-    with pytest.raises(GraphError, match="not a live Const"):
-        collect_const_users(g, 12345, into)
+    entry = names["entry"]
+    addr = g.add_node(NodeKind.CONST, value=0, block=entry)
+    load = g.add_node(NodeKind.LOAD, volatile=True, block=entry)
+    g.add_edge(load, addr, DF, 0)
+    neg = g.add_node(NodeKind.NOT, block=entry)  # reads no Const
+    g.add_edge(neg, load, DF, 0)
+    visits = _record_visits(monkeypatch)
+    assert fold_dataflow_fixpoint(g) is True
+    # add and load read Consts; only the folded add's users come next
+    assert visits == [(names["add"], True), (load, True), (names["ret"], True)]
 
 
 def test_fold_not():
@@ -270,11 +274,13 @@ def test_fold_assoc_comm_requires_the_shape():
     assert fold_assoc_comm(g, both) is None
 
 
-def _nested_add_chain(k, outer_first):
-    """Return((...((c + c) + c)...)) with k Add nodes.
+def _nested_add_chain(k, outer_first, volatile=False):
+    """Return((...((x + c) + c)...)) with k Add nodes over Consts c; x is
+    a Const, or a volatile Load when volatile is set.
 
     outer_first controls id order: True allocates the outermost Add with
-    the smallest id, False with the largest.
+    the smallest id, False with the largest. Returns the graph, the Adds
+    from the outermost in, x and the Return.
     """
     g, entry, _ = func_graph()
     order = list(range(k))
@@ -282,45 +288,72 @@ def _nested_add_chain(k, outer_first):
     for i in order if outer_first else reversed(order):
         adds[i] = g.add_node(NodeKind.ADD, block=entry)
     consts = [g.add_node(NodeKind.CONST, value=i + 1, block=entry) for i in range(k + 1)]
+    x = consts[k]
+    if volatile:
+        x = g.add_node(NodeKind.LOAD, volatile=True, block=entry)
+        g.add_edge(x, consts[k], DF, 0)
     for i in range(k):
-        inner = adds[i + 1] if i + 1 < k else consts[k]
+        inner = adds[i + 1] if i + 1 < k else x
         g.add_edge(adds[i], inner, DF, 0)
         g.add_edge(adds[i], consts[i], DF, 1)
     ret = finish_return(g, entry, adds[0])
-    return g, ret
+    return g, [adds[i] for i in order], x, ret
 
 
-def _run_wavefronts(g):
-    wl = Worklist()
-    collect_const_users(g, None, wl.now)
-    fired = []
-    while wl.now:
-        fired.append(wavefront_step(g, wl))
-        wl.swap()
-    return fired
+def test_each_front_is_the_users_of_the_last_fronts_consts(monkeypatch):
+    g, adds, _x, ret = _nested_add_chain(5, outer_first=True)
+    visits = _record_visits(monkeypatch)
+    fold_dataflow_fixpoint(g)
+    # the seed front visits every Add; later fronts hold only the one user
+    # of the Const just made, never an id an earlier front visited
+    expected = sorted(adds) + adds[3::-1] + [ret]
+    assert visits == [(nid, True) for nid in expected]
 
 
-def test_wavefront_count_outermost_first_is_one_per_link():
-    g, ret = _nested_add_chain(5, outer_first=True)
-    fired = _run_wavefronts(g)
-    # each wavefront folds exactly one link, then one quiet front remains
-    assert fired == [True, True, True, True, True, False]
+def test_wavefront_count_outermost_first_is_one_per_link(monkeypatch):
+    g, _adds, _x, ret = _nested_add_chain(5, outer_first=True)
+    visits = _record_visits(monkeypatch)
+    assert fold_dataflow_fixpoint(g) is True
+    # 5 Adds in the seed front, then one front per remaining link and one
+    # quiet front for the Return
+    assert len(visits) == 10
     assert _only_const_value(g, ret) == 1 + 2 + 3 + 4 + 5 + 6
 
 
-def test_wavefront_count_innermost_first_cascades_in_one_front():
-    g, ret = _nested_add_chain(5, outer_first=False)
-    fired = _run_wavefronts(g)
-    assert fired == [True, False]
+def test_wavefront_count_innermost_first_cascades_in_one_front(monkeypatch):
+    g, _adds, _x, ret = _nested_add_chain(5, outer_first=False)
+    visits = _record_visits(monkeypatch)
+    assert fold_dataflow_fixpoint(g) is True
+    assert len(visits) == 6
     assert _only_const_value(g, ret) == 1 + 2 + 3 + 4 + 5 + 6
 
 
-def test_wavefront_step_skips_dead_ids():
-    g, names = build_add_graph()
-    wl = Worklist()
-    wl.now = {names["add"], 98765}
-    assert wavefront_step(g, wl) is True
-    assert _only_const_value(g, names["ret"]) == 3
+def test_fold_dataflow_fixpoint_skips_dead_ids(monkeypatch):
+    g, adds, _x, ret = _nested_add_chain(5, outer_first=False)
+    visits = _record_visits(monkeypatch)
+    fold_dataflow_fixpoint(g)
+    # the second front also names the four outer Adds, folded away by then
+    assert visits == [(nid, True) for nid in sorted(adds)] + [(ret, True)]
+
+
+@pytest.mark.parametrize("k", [5, 40])
+@pytest.mark.parametrize("outer_first", [True, False])
+def test_optimize_settles_an_assoc_chain_in_two_rounds(k, outer_first):
+    g, _adds, x, ret = _nested_add_chain(k, outer_first, volatile=True)
+    before = g.copy()
+    rounds = []
+    optimize(g, on_round=lambda n, _g: rounds.append(n))
+    # one cleanup round reassociates the whole chain; the second finds nothing
+    assert rounds == [1, 2]
+    (add, _pos), = g.operands_of(ret)
+    assert g.node(add).kind is NodeKind.ADD
+    (op0, _), (c, _) = g.operands_of(add)
+    assert op0 == x
+    assert g.node(c).kind is NodeKind.CONST and g.node(c).value == k * (k + 1) // 2
+    for value in (3, -7):
+        a, b = execute(before, {x: value}), execute(g, {x: value})
+        assert (a.value, a.trapped) == (b.value, b.trapped)
+        assert b.value == value + k * (k + 1) // 2
 
 
 def test_fold_dataflow_fixpoint_reports_change_once():

@@ -280,6 +280,13 @@ def test_users_and_operands_are_ordered():
     g.add_edge(phi, a, DF, 0)
     assert g.operands_of(phi) == [(a, 0), (a, 1)]
     assert g.users_of(a) == [(phi, 0), (phi, 1)]
+    # within one position, ids ascend
+    b = g.add_node(NodeKind.CONST, value=2, block=entry)
+    g.add_edge(phi, b, DF, 0)
+    g.add_edge(phi, a, DF, 0)
+    assert g.operands_of(phi) == [(a, 0), (a, 0), (b, 0), (a, 1)]
+    with pytest.raises(GraphError, match="unknown node id"):
+        g.operands_of(12345)
 
 
 def test_block_of_raises_without_membership():
