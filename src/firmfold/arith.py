@@ -3,15 +3,13 @@
 All constant values in the IR live in [-2**31, 2**31 - 1] and every
 operation wraps. Division and remainder truncate toward zero (C-style),
 shifts use only the low five bits of the shift amount, and the right
-shift is arithmetic. Comparisons produce 1 or 0.
+shift is arithmetic. Comparisons produce 1 or 0. The range's bounds,
+INT_MIN and INT_MAX, are defined in ir and re-exported here.
 """
 
 from __future__ import annotations
 
-from .ir import NodeKind, Relation
-
-INT_MIN = -(2**31)
-INT_MAX = 2**31 - 1
+from .ir import INT_MAX, INT_MIN, NodeKind, Relation
 
 _U32 = 1 << 32
 _SIGN = 1 << 31

@@ -9,8 +9,8 @@ side changes anything, verifying the graph on entry and on exit; its round
 loop is the only one that repeats cleanup until quiet. The dead-code
 sweep is FirmGraph.delete_unused in ir, a mark-sweep that keeps the
 control transfers and memory accesses and what they read, and deletes the
-rest at once, dead cycles included; optimize, cleanup_round and isel
-reach it through _exhaust_unused.
+rest at once, dead cycles included; optimize and cleanup_round reach it
+through _exhaust_unused, and isel calls it directly.
 """
 
 from __future__ import annotations

@@ -105,56 +105,49 @@ def _split_const(g: FirmGraph, nid: int) -> tuple[Edge, Edge] | None:
     return (first, second) if first_const else (second, first)
 
 
-def _reassociate(g: FirmGraph, nid: int, kind: NodeKind) -> int | None:
-    """Rewrite (x K c1) K c2 at nid into x K c3; returns c3, or None if the
-    shape is absent."""
-    outer = _split_const(g, nid)
-    if outer is None:
-        return None
-    const_edge, inner_edge = outer
-    inner = inner_edge.dst
-    if inner == nid or g.node(inner).kind is not kind:
-        return None
-    split = _split_const(g, inner)
-    if split is None:
-        return None
-    c1_edge, x_edge = split
-    x = x_edge.dst
-    if x == nid:
-        return None
-    try:
-        block = g.block_of(nid)
-    except NoBlockError:
-        return None
-    value = apply_binary(kind, g.node(c1_edge.dst).value, g.node(const_edge.dst).value)
-    c3 = g.add_node(_CONST, value=value, block=block)
-    g.retarget_edge(inner_edge, x)
-    inner_edge.position = 0
-    g.retarget_edge(const_edge, c3)
-    const_edge.position = 1
-    return c3
-
-
 def fold_assoc_comm(g: FirmGraph, nid: int) -> int | None:
-    """Reassociate (x K c1) K c2 into x K c3 for commutative K, and again
-    while the rewritten node still has that shape, so one call settles a
-    whole chain (...(x K c1) K c2...) K ck.
+    """Reassociate a chain (...((x K c1) K c2)...) K ck, for commutative
+    K, into x K c in one rewrite, c = c1 K c2 K ... K ck.
 
-    Each step's two constants meet in a fresh Const c3 = c1 K c2 placed in
-    the outer node's block; the outer node keeps its id with x at position
-    0 and c3 at position 1. The inner nodes and the old constants are left
-    for unused-node removal. Returns the last c3, or None if the shape is
-    absent.
+    The match starts at nid, which must have exactly one Const operand,
+    and follows the other operand while it is a K node with exactly one
+    Const operand, folding each link's constant on the way; x is the
+    first node that is not such a link. The rewrite puts a fresh Const c
+    in nid's block; nid keeps its id with x at position 0 and c at
+    position 1. The links below nid and the old constants are left for
+    unused-node removal. Returns c, or None when nid has no link below
+    it, has no block, or its chain runs into a dataflow cycle.
     """
     if nid not in g:
         return None
     kind = g.node(nid).kind
     if kind not in COMMUTATIVE_KINDS:
         return None
-    last = None
-    while (c3 := _reassociate(g, nid, kind)) is not None:
-        last = c3
-    return last
+    split = _split_const(g, nid)
+    if split is None:
+        return None
+    const_edge, x_edge = split
+    value = g.node(const_edge.dst).value
+    chain = {nid}
+    x = x_edge.dst
+    while g.node(x).kind is kind and (split := _split_const(g, x)) is not None:
+        if x in chain:
+            return None
+        chain.add(x)
+        value = apply_binary(kind, g.node(split[0].dst).value, value)
+        x = split[1].dst
+    if len(chain) == 1:
+        return None
+    try:
+        block = g.block_of(nid)
+    except NoBlockError:
+        return None
+    const = g.add_node(_CONST, value=value, block=block)
+    g.retarget_edge(x_edge, x)
+    x_edge.position = 0
+    g.retarget_edge(const_edge, const)
+    const_edge.position = 1
+    return const
 
 
 def fold_dataflow_fixpoint(g: FirmGraph) -> bool:

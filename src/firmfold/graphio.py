@@ -18,6 +18,8 @@ from .errors import FormatError
 from .ir import (
     COMMUTATIVE_KINDS,
     IMMEDIATE_TARGET_OF,
+    INT_MAX,
+    INT_MIN,
     OPS,
     Edge,
     EdgeKind,
@@ -372,7 +374,7 @@ class _Generator:
     def _const_value(self) -> int:
         if self.rng.random() < 0.85:
             return self.rng.randint(-9, 9)
-        return self.rng.randint(-(2**31), 2**31 - 1)
+        return self.rng.randint(INT_MIN, INT_MAX)
 
     def pick(self, pool: list[int]) -> int:
         if not pool or self.rng.random() < self.spec.const_ratio:

@@ -34,6 +34,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import GraphError, NoBlockError
 
+# The signed 32-bit range every Const value lies in.
+INT_MIN = -(2**31)
+INT_MAX = 2**31 - 1
+
 
 class NodeKind(Enum):
     # Members compare by identity, so the identity hash agrees with ==; it
@@ -300,7 +304,6 @@ class FirmGraph:
         # Block id -> ids of the nodes whose block field names it.
         self._members: dict[int, set[int]] = {}
         self._next_id = 0
-        self._edge_count = 0
         self.start_block: int | None = None
         self.end_block: int | None = None
 
@@ -315,7 +318,7 @@ class FirmGraph:
     @property
     def edge_count(self) -> int:
         """Edges plus one per block membership (the containment edges)."""
-        return self._edge_count
+        return sum(map(len, self._out.values())) + sum(map(len, self._members.values()))
 
     def node(self, nid: int) -> Node:
         try:
@@ -381,7 +384,7 @@ class FirmGraph:
             raise GraphError(f"value must be an integer, got {value!r}")
         if volatile is not None and not isinstance(volatile, bool):
             raise GraphError(f"volatile must be a boolean, got {volatile!r}")
-        if value is not None and not (-(2**31) <= value <= 2**31 - 1):
+        if value is not None and not (INT_MIN <= value <= INT_MAX):
             raise GraphError(f"value {value} outside 32-bit signed range")
 
         if block is not None:
@@ -418,7 +421,6 @@ class FirmGraph:
         for nid, n in nodes.items():
             if n.block is not None:
                 members.setdefault(n.block, set()).add(nid)
-        g._edge_count = len(edges) + sum(map(len, members.values()))
         g._next_id = max(0, max(nodes, default=-1) + 1)
         return g
 
@@ -437,7 +439,6 @@ class FirmGraph:
         edge = Edge(src, dst, kind, position)
         self._out[src].append(edge)
         self._in[dst].append(edge)
-        self._edge_count += 1
         return edge
 
     # -- mutation --------------------------------------------------------
@@ -464,7 +465,6 @@ class FirmGraph:
     def _join(self, nid: int, block: int) -> None:
         self._nodes[nid].block = block
         self._members.setdefault(block, set()).add(nid)
-        self._edge_count += 1
 
     def move_members(self, frm: int, to: int) -> None:
         """Move every member of block frm into block to."""
@@ -484,7 +484,6 @@ class FirmGraph:
             self._in[edge.dst].remove(edge)
         except (KeyError, ValueError):
             raise GraphError(f"edge {edge!r} is not in the graph") from None
-        self._edge_count -= 1
 
     def delete_node(self, nid: int) -> None:
         """Remove a node and every incident edge; a deleted Block's members
@@ -511,32 +510,24 @@ class FirmGraph:
                 raise GraphError(f"refusing to delete the {node.kind.value} node")
             doomed.add(nid)
         out, inc, members = self._out, self._in, self._members
-        # An edge between two doomed nodes, or a self edge, is counted from
-        # its source's out-list only.
-        removed = 0
         in_lists, out_lists = set(), set()
         for nid in doomed:
             for e in out.pop(nid):
-                removed += 1
                 if e.dst not in doomed:
                     in_lists.add(e.dst)
             for e in inc.pop(nid):
                 if e.src not in doomed:
-                    removed += 1
                     out_lists.add(e.src)
             block = nodes.pop(nid).block
             if block is not None and block not in doomed:
                 members[block].discard(nid)
-                removed += 1
             for m in members.pop(nid, ()):
-                removed += 1
                 if m not in doomed:
                     nodes[m].block = None
         for nid in in_lists:
             inc[nid] = [e for e in inc[nid] if e.src not in doomed]
         for nid in out_lists:
             out[nid] = [e for e in out[nid] if e.dst not in doomed]
-        self._edge_count -= removed
 
     def delete_unused(self) -> bool:
         """Delete every pure, non-volatile node that no live node reads; True

@@ -10,7 +10,6 @@ contain them cannot be lowered.
 
 from __future__ import annotations
 
-from .cfgfold import _exhaust_unused
 from .errors import ContractError, VerificationError
 from .ir import (
     ANCHOR_KINDS,
@@ -85,7 +84,7 @@ def run_instruction_selection(g: FirmGraph) -> None:
         )
     for nid in list(g.node_ids()):
         select_immediate(g, nid)
-    _exhaust_unused(g)
+    g.delete_unused()
     for nid in list(g.node_ids()):
         select_plain(g, nid)
     leftovers = [

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 from .errors import NoBlockError
 from .ir import (
+    INT_MAX,
+    INT_MIN,
     OPS,
     ROLE_COND,
     ROLE_END,
@@ -31,9 +33,6 @@ from .ir import (
     FirmGraph,
     NodeKind,
 )
-
-INT32_MIN = -(2**31)
-INT32_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ def verify(g: FirmGraph) -> list[Violation]:
         if (value is not None) != value_ok:
             what = "missing" if value is None else "stray"
             v8.append(Violation("V8", (nid,), f"{what} value attribute on {kind.value} node {nid}"))
-        elif value is not None and not (INT32_MIN <= value <= INT32_MAX):
+        elif value is not None and not (INT_MIN <= value <= INT_MAX):
             v8.append(Violation("V8", (nid,), f"value {value} on node {nid} outside 32-bit range"))
         if (n.relation is not None) != relation_ok:
             what = "missing" if n.relation is None else "stray"

@@ -26,13 +26,10 @@ def delete_node(g: FirmGraph, nid: int) -> None:
     for e in seen.values():
         g._out[e.src].remove(e)
         g._in[e.dst].remove(e)
-        g._edge_count -= 1
     if node.block is not None:
         g._members[node.block].discard(nid)
-        g._edge_count -= 1
     for m in g._members.pop(nid, ()):
         g._nodes[m].block = None
-        g._edge_count -= 1
     del g._nodes[nid]
     del g._out[nid]
     del g._in[nid]

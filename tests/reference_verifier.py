@@ -12,6 +12,8 @@ from __future__ import annotations
 from firmfold.errors import NoBlockError
 from firmfold.ir import (
     ARITY,
+    INT_MAX,
+    INT_MIN,
     CONTROL_TRANSFER_KINDS,
     MEMORY_KINDS,
     RELATION_KINDS,
@@ -20,7 +22,7 @@ from firmfold.ir import (
     FirmGraph,
     NodeKind,
 )
-from firmfold.verifier import INT32_MAX, INT32_MIN, Violation
+from firmfold.verifier import Violation
 
 
 def _pos(e) -> int:
@@ -147,7 +149,7 @@ def reference_verify(g: FirmGraph) -> list[Violation]:
         if (n.value is not None) != (n.kind in VALUE_KINDS):
             what = "missing" if n.value is None else "stray"
             out.append(Violation("V8", (nid,), f"{what} value attribute on {kv} node {nid}"))
-        elif n.value is not None and not (INT32_MIN <= n.value <= INT32_MAX):
+        elif n.value is not None and not (INT_MIN <= n.value <= INT_MAX):
             out.append(
                 Violation("V8", (nid,), f"value {n.value} on node {nid} outside 32-bit range")
             )

@@ -19,8 +19,10 @@ from firmfold.constfold import (
     fold_not,
     fold_phi,
 )
+from firmfold.errors import InterpreterError
 from firmfold.interp import execute
-from firmfold.ir import EdgeKind, NodeKind, Relation
+from firmfold.ir import EdgeKind, FirmGraph, NodeKind, Relation
+from firmfold.verifier import verify
 
 
 def _only_const_value(g, user):
@@ -28,6 +30,23 @@ def _only_const_value(g, user):
     node = g.node(operand)
     assert node.kind is NodeKind.CONST
     return node.value
+
+
+def _count_add_node(monkeypatch, limit=None):
+    """A one-item list holding the number of FirmGraph.add_node calls made
+    from now on. With a limit, the call after the limit-th raises, so a
+    rule that keeps adding nodes fails instead of hanging."""
+    calls = [0]
+    add_node = FirmGraph.add_node
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        if limit is not None and calls[0] > limit:
+            raise RuntimeError(f"more than {limit} add_node calls")
+        return add_node(self, *args, **kwargs)
+
+    monkeypatch.setattr(FirmGraph, "add_node", counting)
+    return calls
 
 
 def _record_visits(monkeypatch):
@@ -338,13 +357,18 @@ def test_fold_dataflow_fixpoint_skips_dead_ids(monkeypatch):
 
 @pytest.mark.parametrize("k", [5, 40])
 @pytest.mark.parametrize("outer_first", [True, False])
-def test_optimize_settles_an_assoc_chain_in_two_rounds(k, outer_first):
+def test_optimize_settles_an_assoc_chain_in_two_rounds(monkeypatch, k, outer_first):
     g, _adds, x, ret = _nested_add_chain(k, outer_first, volatile=True)
     before = g.copy()
     rounds = []
+    added = _count_add_node(monkeypatch)
     optimize(g, on_round=lambda n, _g: rounds.append(n))
     # one cleanup round reassociates the whole chain; the second finds nothing
     assert rounds == [1, 2]
+    # one fresh Const per link that still has a link below it when visited:
+    # the outermost's call settles the chain in one rewrite, and each inner
+    # link, dead by then, settles its own shorter chain once
+    assert added[0] == k - 1
     (add, _pos), = g.operands_of(ret)
     assert g.node(add).kind is NodeKind.ADD
     (op0, _), (c, _) = g.operands_of(add)
@@ -354,6 +378,37 @@ def test_optimize_settles_an_assoc_chain_in_two_rounds(k, outer_first):
         a, b = execute(before, {x: value}), execute(g, {x: value})
         assert (a.value, a.trapped) == (b.value, b.trapped)
         assert b.value == value + k * (k + 1) // 2
+
+
+def _add_ring(n):
+    """n Adds a_i = a_{i-1} + Const, indices mod n, so the Adds form a
+    dataflow cycle through no Phi; one more Add a_0 + Const, read by the
+    Return, makes the ring live. Returns the graph and its node ids."""
+    g, entry, _ = func_graph()
+    ring = [g.add_node(NodeKind.ADD, block=entry) for _ in range(n)]
+    for i, add in enumerate(ring):
+        g.add_edge(add, ring[i - 1], DF, 0)
+        g.add_edge(add, g.add_node(NodeKind.CONST, value=i + 1, block=entry), DF, 1)
+    reader = g.add_node(NodeKind.ADD, block=entry)
+    g.add_edge(reader, ring[0], DF, 0)
+    g.add_edge(reader, g.add_node(NodeKind.CONST, value=7, block=entry), DF, 1)
+    finish_return(g, entry, reader)
+    return g, list(g.node_ids())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fold_assoc_comm_refuses_a_chain_that_runs_into_a_cycle(monkeypatch, n):
+    g, ids = _add_ring(n)
+    assert verify(g) == []  # the verifier accepts a cycle through no Phi
+    with pytest.raises(InterpreterError):
+        execute(g, {})
+    # a walk around the ring that kept rewriting would add a Const per step
+    _count_add_node(monkeypatch, limit=100)
+    assert [fold_assoc_comm(g, nid) for nid in ids] == [None] * len(ids)
+    optimize(g)
+    assert verify(g) == []
+    with pytest.raises(InterpreterError):
+        execute(g, {})
 
 
 def test_fold_dataflow_fixpoint_reports_change_once():

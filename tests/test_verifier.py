@@ -108,11 +108,9 @@ def _rehome(g, nid, block):
     node = g.node(nid)
     if node.block is not None:
         g._members[node.block].discard(nid)
-        g._edge_count -= 1
     node.block = block
     if block is not None:
         g._members.setdefault(block, set()).add(nid)
-        g._edge_count += 1
 
 
 def _forge(g, rng, dst):
@@ -126,7 +124,6 @@ def _forge(g, rng, dst):
         edge = Edge(src, dst, kind, rng.randint(0, 3))
         g._out[edge.src].append(edge)
         g._in.get(edge.dst, []).append(edge)
-        g._edge_count += 1
 
 
 def _corrupt(g, rng):
