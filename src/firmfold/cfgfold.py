@@ -4,13 +4,16 @@ Each rule returns True when it changed the graph. cleanup_round() applies
 each once, in a fixed order: remove_unreachable_block works on the whole
 graph, and each other rule rewrites one node and is tried once on every
 node of its kind. optimize() first deletes dead code, so no fold is spent
-on it, then alternates dataflow folding with cleanup rounds until neither
-side changes anything, verifying the graph on entry and on exit; its round
-loop is the only one that repeats cleanup until quiet. The dead-code
-sweep is FirmGraph.delete_unused in ir, a mark-sweep that keeps the
-control transfers and memory accesses and what they read, and deletes the
-rest at once, dead cycles included; optimize and cleanup_round reach it
-through _exhaust_unused, and isel calls it directly.
+on it, then runs dataflow folding and the cleanup rules in that order,
+round after round, verifying the graph on entry and on exit. It keeps a
+set of due rules: a rule runs only while it is due, running clears it, and
+a rule that fires makes due the rules _ENABLES names as those its rewrite
+can give a new match. The loop ends when no rule is due, so no round is
+spent proving the fixpoint. The dead-code sweep is FirmGraph.delete_unused
+in ir, a mark-sweep that keeps the control transfers and memory accesses
+and what they read, and deletes the rest at once, dead cycles included;
+optimize and cleanup_round reach it through _exhaust_unused, and isel
+calls it directly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ from typing import Callable
 
 from .constfold import fold_dataflow_fixpoint
 from .errors import ContractError, GraphError, NoBlockError, VerificationError
-from .ir import ANCHOR_KINDS, COMMUTATIVE_KINDS, EdgeKind, FirmGraph, NodeKind
+from .ir import (
+    ANCHOR_KINDS,
+    COMMUTATIVE_KINDS,
+    CONTROL_TRANSFER_KINDS,
+    EdgeKind,
+    FirmGraph,
+    NodeKind,
+)
 from .verifier import verify
 from . import constfold
 
@@ -186,12 +196,11 @@ def merge_blocks(g: FirmGraph, nid: int) -> bool:
         return False
     if home == nid:
         return False
-    members = g.members_of(nid)
-    if any(g.node(m).kind is _PHI for m in members):
+    # The membership table itself: the test needs no order.
+    if any(g.node(m).kind is _PHI for m in g._members.get(nid, ())):
         return False
     g.move_members(nid, home)
-    g.delete_node(jmp)
-    g.delete_node(nid)
+    g.delete_nodes((jmp, nid))
     return True
 
 
@@ -216,23 +225,109 @@ def _exhaust_unused(g: FirmGraph) -> bool:
     return g.delete_unused()
 
 
-def cleanup_round(g: FirmGraph) -> bool:
+# cleanup_round's steps in order, each one rule over the whole graph, True
+# when it fired. The lambdas look the rules up when called, so the rule
+# bound to the module name at that moment is the one that runs.
+_CLEANUP_STEPS: dict[str, Callable[[FirmGraph], bool]] = {
+    "fold_cond": lambda g: _sweep(g, fold_cond, _CONDS),
+    "reach": lambda g: remove_unreachable_block(g),
+    "phi_op": lambda g: _sweep(g, remove_unreachable_phi_operand, _PHIS),
+    "fep": lambda g: _sweep(g, fix_edge_position, _BLOCKS),
+    "simplify": lambda g: _sweep(g, simplify_trivial_phi, _PHIS),
+    "assoc": lambda g: _sweep(g, constfold.fold_assoc_comm, COMMUTATIVE_KINDS),
+    "unused": lambda g: _exhaust_unused(g),
+    "merge": lambda g: _sweep(g, merge_blocks, _BLOCKS),
+}
+# optimize's rules in order: "fold", the dataflow fixpoint, then cleanup_round's.
+_RULES = ("fold", *_CLEANUP_STEPS)
+
+# Rule -> the rules whose match its rewrite can create. Each rule leaves no
+# match of its own behind, so none names itself. The entries hold on graphs
+# of plain control (see _plain_control).
+_ENABLES: dict[str, frozenset[str]] = {
+    # A fresh Const can complete a Cond's or a link's operands; the folded
+    # node's operands lose a reader; fold_phi deletes a Phi.
+    "fold": frozenset({"fold_cond", "assoc", "unused", "merge"}),
+    # The untaken successor loses a predecessor; the taken one now follows
+    # a Jmp; the condition loses a reader.
+    "fold_cond": frozenset({"reach", "phi_op", "fep", "unused", "merge"}),
+    # Deleted members and transfers take operands and predecessors from
+    # live nodes with them, and can open a link on a ring through no Phi.
+    "reach": frozenset({"fold", "phi_op", "fep", "simplify", "assoc", "unused", "merge"}),
+    # A Phi left with fewer operands.
+    "phi_op": frozenset({"fold", "simplify", "unused"}),
+    # Positions only; phi_op, due with it, has just put every Phi operand
+    # on a live position, which the renumbering keeps live.
+    "fep": frozenset(),
+    # The Phi's readers now read its operand, a Const or a link; its block
+    # may lose its last Phi. Every path that ran through the Phi now ends
+    # at that operand, so nothing goes unread.
+    "simplify": frozenset({"fold", "fold_cond", "assoc", "merge"}),
+    # The old links and constants lose a reader.
+    "assoc": frozenset({"unused"}),
+    # A dead Phi was its block's last.
+    "unused": frozenset({"merge"}),
+    # The members move and reachability holds; under plain control no
+    # other edge entered the Jmp or the Block.
+    "merge": frozenset(),
+}
+# The rules a verified graph gives no match right after the pre-pass: V7
+# leaves fix_edge_position nothing to renumber, V4 leaves no Phi operand
+# unmatched, and the pre-pass has just deleted the unused nodes.
+_QUIET_ON_ENTRY = frozenset({"fep", "phi_op", "unused"})
+
+
+def _plain_control(g: FirmGraph) -> bool:
+    """Whether every control edge ends at a control transfer, no edge ends
+    at a Block, a Jmp has at most one incoming edge and a Cond just its True
+    and False edges.
+
+    _ENABLES relies on this: the rules that delete value nodes then drop no
+    predecessor, and merge_blocks drops only the edge it follows. No rule
+    adds a control edge or an edge into a Block, Cond or entered Jmp, so it
+    holds throughout optimize once it holds on entry. Generated graphs keep
+    it; a graph that verifies without it gets the every-rule passes.
+    """
+    # FirmGraph's tables, read directly as verify does: this runs on every
+    # optimize call.
+    nodes, ins, outs = g._nodes, g._in, g._out
+    for nid, node in nodes.items():
+        kind = node.kind
+        if kind is _BLOCK:
+            if ins[nid]:
+                return False
+            for e in outs[nid]:
+                if nodes[e.dst].kind not in CONTROL_TRANSFER_KINDS:
+                    return False
+        elif kind is _JMP:
+            if len(ins[nid]) > 1:
+                return False
+        elif kind is _COND:
+            if len(ins[nid]) != 2:
+                return False
+    return True
+
+
+def cleanup_round(g: FirmGraph, due: set[str] | None = None) -> bool:
     """One round of structural cleanup, each rule in one sweep; True when
-    anything changed. What a later rule enables waits for the next round.
+    anything changed.
 
     Rule order matters: conditions fold before reachability is
     recomputed, Phi operands are pruned before positions are renumbered,
-    and block merging runs last over the settled shape.
+    and block merging runs last over the settled shape. Alone, the round
+    runs every rule once. Given optimize's set of due rules, it runs only
+    those still due when their turn comes, takes each rule out of the set
+    as it runs, and adds what _ENABLES names for each rule that fired.
     """
+    if due is None:
+        due = set(_CLEANUP_STEPS)
     changed = False
-    changed |= _sweep(g, fold_cond, _CONDS)
-    changed |= remove_unreachable_block(g)
-    changed |= _sweep(g, remove_unreachable_phi_operand, _PHIS)
-    changed |= _sweep(g, fix_edge_position, _BLOCKS)
-    changed |= _sweep(g, simplify_trivial_phi, _PHIS)
-    changed |= _sweep(g, constfold.fold_assoc_comm, COMMUTATIVE_KINDS)
-    changed |= _exhaust_unused(g)
-    changed |= _sweep(g, merge_blocks, _BLOCKS)
+    for rule, step in _CLEANUP_STEPS.items():
+        if rule in due:
+            due.discard(rule)
+            if step(g):
+                changed = True
+                due |= _ENABLES[rule]
     return changed
 
 
@@ -241,8 +336,17 @@ def optimize(
     max_rounds: int | None = None,
     on_round: Callable[[int, FirmGraph], None] | None = None,
 ) -> bool:
-    """Delete dead code, then run dataflow folding and cleanup rounds to
-    a joint fixpoint.
+    """Delete dead code, then run dataflow folding and cleanup to a joint
+    fixpoint, each rule only while some rewrite may have given it a match.
+
+    A round is one pass over the rules in a fixed order, the dataflow
+    fixpoint first and cleanup_round's steps after it, that runs each rule
+    only if it is due. The first pass finds every rule due but those in
+    _QUIET_ON_ENTRY; a rule that fires makes its _ENABLES entry due, and the
+    loop ends when no rule is due, without a round that only proves the
+    fixpoint. On a graph without plain control (_plain_control) every rule
+    is due from the start and again after any round that fired, as if each
+    round ran them all.
 
     The graph must verify cleanly going in and is verified again on the
     way out. Returns True when the graph changed at all. max_rounds
@@ -252,18 +356,26 @@ def optimize(
     if findings:
         raise VerificationError(findings, "before optimize")
     changed_ever = _exhaust_unused(g)
+    plain = _plain_control(g)
+    due = set(_RULES).difference(_QUIET_ON_ENTRY) if plain else set(_RULES)
     rounds = 0
-    while True:
+    while due:
         rounds += 1
         if max_rounds is not None and rounds > max_rounds:
             raise ContractError(f"optimize exceeded {max_rounds} rounds")
-        folded = fold_dataflow_fixpoint(g)
-        cleaned = cleanup_round(g)
-        changed_ever = changed_ever or folded or cleaned
+        folded = False
+        if "fold" in due:
+            due.discard("fold")
+            folded = fold_dataflow_fixpoint(g)
+            if folded:
+                due |= _ENABLES["fold"]
+        cleaned = cleanup_round(g, due)
+        if folded or cleaned:
+            changed_ever = True
+            if not plain:
+                due.update(_RULES)
         if on_round is not None:
             on_round(rounds, g)
-        if not folded and not cleaned:
-            break
     findings = verify(g)
     if findings:
         raise VerificationError(findings, "after optimize")

@@ -286,6 +286,18 @@ class Edge:
         return f"<{self.src} -{self.kind.value}{pos}-> {self.dst}>"
 
 
+def _by_position(edges: list[Edge]) -> list[Edge]:
+    """Sort edges by (position, dst) in place, stably, and return them. Most
+    lists hold one or two edges: two are compared without a keyed sort."""
+    if len(edges) == 2:
+        a, b = edges
+        if (b.position, b.dst) < (a.position, a.dst):
+            edges.reverse()
+    elif len(edges) > 2:
+        edges.sort(key=lambda e: (e.position, e.dst))
+    return edges
+
+
 class FirmGraph:
     """One function's worth of IR.
 
@@ -629,9 +641,8 @@ class FirmGraph:
         return [(e.dst, e.position) for e in self.operand_edges(nid)]
 
     def operand_edges(self, nid: int) -> list[Edge]:
-        edges = [e for e in self._out.get(nid, ()) if e.kind is _DATAFLOW]
-        edges.sort(key=lambda e: (e.position, e.dst))
-        return edges
+        """Dataflow edges out of nid, ordered by position then operand id."""
+        return _by_position([e for e in self._out.get(nid, ()) if e.kind is _DATAFLOW])
 
     def binary_operands(self, nid: int) -> list[Edge] | None:
         """The Dataflow operand edges at positions 0 and 1, in that order,
@@ -655,9 +666,7 @@ class FirmGraph:
 
     def control_in_edges(self, block: int) -> list[Edge]:
         """Control edges entering this block (src == block), by position."""
-        edges = [e for e in self._out.get(block, ()) if e.kind in CONTROL_EDGE_KINDS]
-        edges.sort(key=lambda e: (e.position, e.dst))
-        return edges
+        return _by_position([e for e in self._out.get(block, ()) if e.kind in CONTROL_EDGE_KINDS])
 
     # -- whole-graph helpers ----------------------------------------------
 

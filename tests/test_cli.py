@@ -5,7 +5,7 @@ import subprocess
 
 import pytest
 
-from conftest import build_diamond, build_div_graph, finish_return, func_graph
+from conftest import build_diamond, build_div_graph, build_jmp_chain, finish_return, func_graph
 from firmfold.cli import main
 from firmfold.graphio import load, save
 from firmfold.ir import EdgeKind, NodeKind, TARGET_KINDS
@@ -61,6 +61,19 @@ def test_fold_emit_dot_writes_one_file_per_round(tmp_path):
     names = sorted(p.name for p in dots.iterdir())
     assert names == ["round_0001.dot", "round_0002.dot"]
     assert (dots / "round_0001.dot").read_text().startswith("digraph")
+
+
+def test_fold_settles_a_jump_chain_in_one_round(tmp_path):
+    # Merging the chain's blocks makes no rule due, so no round follows that
+    # only proves the fixpoint: one DOT file, and one round is enough.
+    g, _ = build_jmp_chain(4)
+    src = tmp_path / "in.json"
+    save(g, src)
+    dots = tmp_path / "rounds"
+    out = tmp_path / "out.json"
+    args = ["-o", str(out), "--max-rounds", "1", "--emit-dot", str(dots)]
+    assert main(["fold", str(src), *args]) == 0
+    assert sorted(p.name for p in dots.iterdir()) == ["round_0001.dot"]
 
 
 def test_fold_round_limit_is_a_contract_breach(tmp_path, capsys):

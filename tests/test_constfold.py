@@ -357,14 +357,15 @@ def test_fold_dataflow_fixpoint_skips_dead_ids(monkeypatch):
 
 @pytest.mark.parametrize("k", [5, 40])
 @pytest.mark.parametrize("outer_first", [True, False])
-def test_optimize_settles_an_assoc_chain_in_two_rounds(monkeypatch, k, outer_first):
+def test_optimize_settles_an_assoc_chain_in_one_round(monkeypatch, k, outer_first):
     g, _adds, x, ret = _nested_add_chain(k, outer_first, volatile=True)
     before = g.copy()
     rounds = []
     added = _count_add_node(monkeypatch)
     optimize(g, on_round=lambda n, _g: rounds.append(n))
-    # one cleanup round reassociates the whole chain; the second finds nothing
-    assert rounds == [1, 2]
+    # one round reassociates the whole chain; reassociation makes only the
+    # unused sweep due, which runs later in the same round, so no round follows
+    assert rounds == [1]
     # one fresh Const per link that still has a link below it when visited:
     # the outermost's call settles the chain in one rewrite, and each inner
     # link, dead by then, settles its own shorter chain once

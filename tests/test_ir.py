@@ -289,6 +289,30 @@ def test_users_and_operands_are_ordered():
         g.operands_of(12345)
 
 
+def test_ordered_views_match_the_keyed_sort():
+    # operand_edges and control_in_edges order short lists without a keyed
+    # sort; the order must be the keyed sort's, ties on position broken by
+    # the destination and full ties kept in insertion order.
+    rng = random.Random(2024)
+    for _ in range(400):
+        g, entry, _ = func_graph()
+        targets = [g.add_node(NodeKind.JMP, block=entry) for _ in range(3)]
+        block = g.add_node(NodeKind.BLOCK)
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.choice(list(EdgeKind))
+            g.add_edge(block, rng.choice(targets), kind, rng.randint(0, 2))
+        for view, keep in (
+            (g.operand_edges, lambda e: e.kind is EdgeKind.DATAFLOW),
+            (g.control_in_edges, lambda e: e.kind is not EdgeKind.DATAFLOW),
+        ):
+            expected = sorted(
+                (e for e in g.out_edges(block) if keep(e)), key=lambda e: (e.position, e.dst)
+            )
+            got = view(block)
+            assert len(got) == len(expected)
+            assert all(a is b for a, b in zip(got, expected))
+
+
 def test_block_of_raises_without_membership():
     g, entry, _ = func_graph()
     with pytest.raises(NoBlockError):
