@@ -16,6 +16,7 @@ from .errors import (
     GraphError,
     InterpreterError,
     NoBlockError,
+    PassOutputError,
     VerificationError,
 )
 from .graphio import GenSpec, export_dot, generate, load, save
@@ -38,6 +39,7 @@ __all__ = [
     "InterpreterError",
     "NoBlockError",
     "NodeKind",
+    "PassOutputError",
     "Relation",
     "VerificationError",
     "Violation",

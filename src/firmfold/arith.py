@@ -5,30 +5,25 @@ operation wraps. Division and remainder truncate toward zero (C-style),
 shifts use only the low five bits of the shift amount, and the right
 shift is arithmetic. Comparisons produce 1 or 0. The range's bounds,
 INT_MIN and INT_MAX, are defined in ir and re-exported here.
+
+BINARY holds each IR binary op's semantics once, as a function of its two
+operands, and COMPARE each Relation's, for Cmp. Constant folding reaches
+them through apply_binary; the interpreter calls the entries directly.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .ir import INT_MAX, INT_MIN, NodeKind, Relation
 
-_U32 = 1 << 32
-_SIGN = 1 << 31
-
 # Enum members as module globals: see the note in ir.
-_ADD, _SUB, _MUL, _DIV, _MOD = NodeKind.ADD, NodeKind.SUB, NodeKind.MUL, NodeKind.DIV, NodeKind.MOD
-_AND, _OR, _XOR, _SHL, _SHR, _CMP = (
-    NodeKind.AND, NodeKind.OR, NodeKind.XOR, NodeKind.SHL, NodeKind.SHR, NodeKind.CMP
-)
-_EQUAL, _NOT_EQUAL, _LESS = Relation.EQUAL, Relation.NOT_EQUAL, Relation.LESS
-_LESS_EQUAL, _GREATER, _GREATER_EQUAL = (
-    Relation.LESS_EQUAL, Relation.GREATER, Relation.GREATER_EQUAL
-)
+_CMP = NodeKind.CMP
 
 
 def wrap32(x: int) -> int:
     """Reduce an arbitrary integer into signed 32-bit range."""
-    x &= _U32 - 1
-    return x - _U32 if x & _SIGN else x
+    return ((x + 2**31) & (2**32 - 1)) - 2**31
 
 
 def trunc_div(a: int, b: int) -> int:
@@ -43,20 +38,44 @@ def trunc_mod(a: int, b: int) -> int:
     return -r if a < 0 else r
 
 
+def _cmp_without_relation(a: int, b: int) -> int:
+    raise ValueError("Cmp needs a relation")
+
+
+# The entries spell wrap32 out, so each operation is one call. Division and
+# remainder give None for a zero divisor: it never folds, and it traps.
+BINARY: dict[NodeKind, Callable[[int, int], int | None]] = {
+    NodeKind.ADD: lambda a, b: ((a + b + 2**31) & (2**32 - 1)) - 2**31,
+    NodeKind.SUB: lambda a, b: ((a - b + 2**31) & (2**32 - 1)) - 2**31,
+    NodeKind.MUL: lambda a, b: ((a * b + 2**31) & (2**32 - 1)) - 2**31,
+    NodeKind.DIV: lambda a, b: None if b == 0 else wrap32(trunc_div(a, b)),
+    NodeKind.MOD: lambda a, b: None if b == 0 else wrap32(trunc_mod(a, b)),
+    NodeKind.AND: lambda a, b: (((a & b) + 2**31) & (2**32 - 1)) - 2**31,
+    NodeKind.OR: lambda a, b: (((a | b) + 2**31) & (2**32 - 1)) - 2**31,
+    NodeKind.XOR: lambda a, b: (((a ^ b) + 2**31) & (2**32 - 1)) - 2**31,
+    NodeKind.SHL: lambda a, b: (((a << (b % 32)) + 2**31) & (2**32 - 1)) - 2**31,
+    # Python's >> on a signed int is already an arithmetic shift.
+    NodeKind.SHR: lambda a, b: a >> (b % 32),
+    # A Cmp computes through its relation's COMPARE entry; this one stands
+    # for a Cmp that has none.
+    NodeKind.CMP: _cmp_without_relation,
+}
+
+COMPARE: dict[Relation, Callable[[int, int], int]] = {
+    Relation.EQUAL: lambda a, b: 1 if a == b else 0,
+    Relation.NOT_EQUAL: lambda a, b: 1 if a != b else 0,
+    Relation.LESS: lambda a, b: 1 if a < b else 0,
+    Relation.LESS_EQUAL: lambda a, b: 1 if a <= b else 0,
+    Relation.GREATER: lambda a, b: 1 if a > b else 0,
+    Relation.GREATER_EQUAL: lambda a, b: 1 if a >= b else 0,
+}
+
+
 def relation_holds(rel: Relation, a: int, b: int) -> bool:
-    if rel is _EQUAL:
-        return a == b
-    if rel is _NOT_EQUAL:
-        return a != b
-    if rel is _LESS:
-        return a < b
-    if rel is _LESS_EQUAL:
-        return a <= b
-    if rel is _GREATER:
-        return a > b
-    if rel is _GREATER_EQUAL:
-        return a >= b
-    raise ValueError(f"unknown relation {rel!r}")
+    fn = COMPARE.get(rel)
+    if fn is None:
+        raise ValueError(f"unknown relation {rel!r}")
+    return fn(a, b) == 1
 
 
 def apply_not(a: int) -> int:
@@ -66,36 +85,11 @@ def apply_not(a: int) -> int:
 def apply_binary(kind: NodeKind, a: int, b: int, relation: Relation | None = None) -> int | None:
     """Evaluate one binary operation on in-range operands.
 
-    Returns None for division or remainder by zero; those never fold and
-    the interpreter turns them into a trap.
+    Returns None for division or remainder by zero.
     """
-    if kind is _ADD:
-        return wrap32(a + b)
-    if kind is _SUB:
-        return wrap32(a - b)
-    if kind is _MUL:
-        return wrap32(a * b)
-    if kind is _DIV:
-        if b == 0:
-            return None
-        return wrap32(trunc_div(a, b))
-    if kind is _MOD:
-        if b == 0:
-            return None
-        return wrap32(trunc_mod(a, b))
-    if kind is _AND:
-        return wrap32(a & b)
-    if kind is _OR:
-        return wrap32(a | b)
-    if kind is _XOR:
-        return wrap32(a ^ b)
-    if kind is _SHL:
-        return wrap32(a << (b % 32))
-    if kind is _SHR:
-        # Python's >> on a signed int is already an arithmetic shift.
-        return a >> (b % 32)
-    if kind is _CMP:
-        if relation is None:
-            raise ValueError("Cmp needs a relation")
+    if kind is _CMP and relation is not None:
         return 1 if relation_holds(relation, a, b) else 0
-    raise ValueError(f"{kind.value} is not a binary operation")
+    fn = BINARY.get(kind)
+    if fn is None:
+        raise ValueError(f"{kind.value} is not a binary operation")
+    return fn(a, b)

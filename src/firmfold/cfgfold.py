@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .constfold import fold_dataflow_fixpoint
-from .errors import ContractError, GraphError, NoBlockError, VerificationError
+from .errors import ContractError, GraphError, NoBlockError, PassOutputError, VerificationError
 from .ir import (
     ANCHOR_KINDS,
     COMMUTATIVE_KINDS,
@@ -349,7 +349,8 @@ def optimize(
     round ran them all.
 
     The graph must verify cleanly going in and is verified again on the
-    way out. Returns True when the graph changed at all. max_rounds
+    way out, where a finding raises PassOutputError, a ContractError.
+    Returns True when the graph changed at all. max_rounds
     guards against a runaway loop; exceeding it is a ContractError.
     """
     findings = verify(g)
@@ -378,5 +379,5 @@ def optimize(
             on_round(rounds, g)
     findings = verify(g)
     if findings:
-        raise VerificationError(findings, "after optimize")
+        raise PassOutputError(findings, "after optimize")
     return changed_ever

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verifier findings, 2 usage or input problems,
-3 broken pipeline contract. The FIRMFOLD_SEED environment variable
-overrides --seed wherever a seed is taken.
+Exit codes: 0 success, 1 verifier findings on the input, 2 usage or input
+problems, 3 broken pipeline contract, such as a pass whose output fails
+verification. The FIRMFOLD_SEED environment variable overrides --seed
+wherever a seed is taken.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: {exc.when}", file=sys.stderr)
         print(format_violations(exc.violations), file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, ContractError) else 1
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -37,6 +37,11 @@ class ContractError(FirmfoldError):
     instruction selection run on the wrong input, or IR leftovers)."""
 
 
+class PassOutputError(VerificationError, ContractError):
+    """A pass's exit check found its own output failing verification: a
+    broken contract that carries the findings."""
+
+
 class InterpreterError(FirmfoldError):
     """The interpreter was handed something it cannot run: a missing
     input value, a block without a control transfer, or a malformed

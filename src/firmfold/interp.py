@@ -1,59 +1,58 @@
-"""A reference interpreter for graphs in either representation.
+"""The interpreter: one executable semantics for the IR.
 
-This defines one concrete executable semantics for the IR so that
-transformations can be checked end to end: run the graph before and
-after a pass on the same inputs and compare results. It is a testing
-oracle, not a performance path.
+Transformations are checked end to end by running a graph before and after
+a pass on the same inputs; the differential tests, `firmfold exec` and the
+benchmark's exec_s all run through here.
 
-Execution walks the control flow graph starting at the start block.
-Entering a block bumps an epoch counter; data nodes are evaluated on
-demand and memoized per epoch, so re-entering a block (a loop
-iteration) recomputes its values. Phi nodes are special: entering a
-block along predecessor position p first evaluates every Phi's operand
-at position p against the *old* values, then installs all updates at
-once. Reading a Phi just returns its current value.
+Execution walks the control flow graph from the start block. Each entry
+into a block starts a fresh memo, so re-entering a block (a loop
+iteration) recomputes the values it demands. Entering along predecessor
+position p first evaluates every Phi's operand at p against the *old*
+memo, then installs all updates at once; reading a Phi returns its value.
+A Phi holds its operand's trap, and reading it raises the trap, so an
+unread Phi traps no more than any other unread value. The step-limit trap
+is never deferred, and neither is an InterpreterError, which is not a
+trap; optimize may delete the dead node that raises one.
 
-A Phi operand's trap is deferred: the Phi holds the trap instead of a
-value, and reading the Phi raises it, so a Phi that nothing reads traps no
-more than any other unread value. The step-limit trap is never deferred.
-An InterpreterError is not a trap and is not deferred either; optimize may
-delete the dead node that raises one, so it may turn such an error into a
-verdict.
+Volatile Loads read the inputs mapping, keyed by node id; non-volatile
+Loads produce 0 and Stores are never demanded. Division by zero and
+exceeding the step budget are traps: defined, reportable outcomes.
 
-Volatile Loads read from the supplied inputs mapping, keyed by node id,
-whose values must lie in the 32-bit signed range; non-volatile Loads
-produce 0 and Stores are never demanded. Division by zero and exceeding
-the step budget are traps: defined, reportable outcomes rather than
-errors.
+A run decodes a node when it first evaluates it, into a tag, its arith
+function or value and its operand ids in position order, and a block when
+control first enters it, into its Phis' operand per entry position and
+its transfer's operand and successors. A bad shape is kept as its error
+message and raised only when the run reaches it. Nothing decoded outlives
+the call. tests/reference_interp.py keeps the interpreter that re-reads
+the graph at every step, as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .arith import INT_MAX, INT_MIN, apply_binary, apply_not
+from .arith import BINARY, COMPARE, INT_MAX, INT_MIN, apply_binary, apply_not
 from .errors import InterpreterError
-from .ir import (
-    BINARY_KINDS,
-    CONTROL_TRANSFER_KINDS,
-    IMMEDIATE_KINDS,
-    OPS,
-    EdgeKind,
-    FirmGraph,
-    NodeKind,
-)
+from .ir import BINARY_KINDS, CONTROL_TRANSFER_KINDS, IMMEDIATE_KINDS, OPS
+from .ir import EdgeKind, FirmGraph, NodeKind
 
 TRAP_DIV_BY_ZERO = "divide-by-zero"
 TRAP_STEP_LIMIT = "step-limit"
 
 # Every kind runs as the IR op it has the semantics of, so a TargetX or
-# TargetXI node computes through X's entry in apply_binary.
+# TargetXI node computes through X's entry in arith.
 _OP_OF = {kind: d.op for kind, d in OPS.items()}
 
 # Enum members as module globals: see the note in ir.
 _CONST, _PHI, _NOT, _LOAD = NodeKind.CONST, NodeKind.PHI, NodeKind.NOT, NodeKind.LOAD
-_RETURN, _JMP, _COND = NodeKind.RETURN, NodeKind.JMP, NodeKind.COND
+_CMP, _RETURN, _JMP = NodeKind.CMP, NodeKind.RETURN, NodeKind.JMP
 _CONTROLFLOW, _TRUE, _FALSE = EdgeKind.CONTROLFLOW, EdgeKind.TRUE, EdgeKind.FALSE
+
+# A decoded node is (tag, arith function, operand ids, extra). extra is a
+# _VALUE node's value (a Load's, once its operands ran), an _IMMEDIATE
+# node's immediate and a _FAIL node's error message.
+_BINARY, _IMMEDIATE, _VALUE, _READ_PHI, _UNARY, _FAIL = range(6)
 
 
 @dataclass
@@ -72,115 +71,141 @@ class _Trap(Exception):
         self.reason = reason
 
 
-class _Machine:
+def _successor(g: FirmGraph, xfer: int, kind: EdgeKind) -> tuple[int, int] | str:
+    """The (block, position) xfer's one edge of this kind enters, or an error."""
+    succ = g.in_edges(xfer, kind)
+    if len(succ) == 1:
+        return succ[0].src, succ[0].position
+    if kind is _CONTROLFLOW:
+        return f"Jmp {xfer} has {len(succ)} successors"
+    return f"Cond {xfer} has {len(succ)} {kind.value} successors"
+
+
+class _Run:
+    """One execute call: decoded nodes and blocks, Phi values, step count."""
+
+    __slots__ = ("g", "inputs", "max_steps", "steps", "nodes", "blocks", "phi_values")
+
     def __init__(self, g: FirmGraph, inputs: dict[int, int], max_steps: int):
         self.g = g
         self.inputs = inputs
         self.max_steps = max_steps
         self.steps = 0
-        self.epoch = 0
-        self.memo: dict[int, tuple[int, int]] = {}
+        self.nodes: dict[int, tuple] = {}
+        self.blocks: dict[int, tuple] = {}
         self.phi_values: dict[int, int | _Trap] = {}
-        self._block_cache: dict[int, tuple[list[int], int | None]] = {}
 
-    def _bump(self) -> None:
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise _Trap(TRAP_STEP_LIMIT)
+    def decode(self, nid: int) -> tuple:
+        node = self.g.node(nid)
+        op = _OP_OF[node.kind]
+        if op is _CONST:
+            return _VALUE, None, (), node.value
+        if op is _PHI:
+            return _READ_PHI, None, (), None
+        operands = [e.dst for e in self.g.operand_edges(nid)]
+        if op in BINARY_KINDS:
+            fn = BINARY[op]
+            if op is _CMP:
+                # A missing or unknown relation raises apply_binary's error.
+                fn = COMPARE.get(node.relation) or partial(apply_binary, op, relation=node.relation)
+            if node.kind in IMMEDIATE_KINDS:
+                return _IMMEDIATE, fn, operands, node.value
+            return _BINARY, fn, operands, None
+        if op is _NOT:
+            return _UNARY, apply_not, operands, None
+        if op is _LOAD:
+            if not node.volatile:
+                return _VALUE, None, operands, 0
+            if nid in self.inputs:
+                return _VALUE, None, operands, self.inputs[nid]
+            return _FAIL, None, operands, f"no input value for volatile Load {nid}"
+        return _FAIL, None, operands, f"{node.kind.value} node {nid} does not produce a value"
 
-    def block_info(self, block: int) -> tuple[list[int], int | None]:
-        """(phi ids ascending, transfer node id or None) for one block."""
-        cached = self._block_cache.get(block)
-        if cached is None:
-            phis = []
-            xfer = None
-            for m in self.g.members_of(block):
-                kind = self.g.node(m).kind
-                if _OP_OF[kind] is _PHI:
-                    phis.append(m)
-                elif xfer is None and kind in CONTROL_TRANSFER_KINDS:
-                    xfer = m
-            cached = (phis, xfer)
-            self._block_cache[block] = cached
-        return cached
-
-    def eval(self, root: int) -> int:
+    def decode_block(self, block: int) -> tuple:
+        """(phis, transfer op, operand, successor, other successor): phis
+        holds (Phi id, {entry position: operand id}) by ascending id, and the
+        successors are the (block, position) that a Jmp, or a Cond's True and
+        then False edge, enters. A bad shape's slot holds its error message."""
         g = self.g
-        memo = self.memo
-        epoch = self.epoch
-        op_of = _OP_OF
-        const_op = _CONST
-        phi_op = _PHI
+        nodes = g._nodes
+        phis = []
+        xfer = None
+        for m in g._members.get(block, ()):
+            kind = nodes[m].kind
+            if _OP_OF[kind] is _PHI:
+                phis.append(m)
+            elif kind in CONTROL_TRANSFER_KINDS and (xfer is None or m < xfer):
+                xfer = m
+        phis.sort()
+        for i, phi in enumerate(phis):
+            by_pos: dict[int, int] = {}
+            for e in g.operand_edges(phi):
+                by_pos.setdefault(e.position, e.dst)
+            phis[i] = phi, by_pos
+        if xfer is None:
+            return phis, None, f"block {block} has no control transfer", None, None
+        op = _OP_OF[nodes[xfer].kind]
+        if op is _JMP:
+            return phis, op, None, _successor(g, xfer, _CONTROLFLOW), None
+        ops = g.operand_edges(xfer)
+        name = "Return" if op is _RETURN else "Cond"
+        operand = ops[0].dst if len(ops) == 1 else f"{name} {xfer} needs exactly one operand"
+        if op is _RETURN:
+            return phis, op, operand, None, None
+        return phis, op, operand, _successor(g, xfer, _TRUE), _successor(g, xfer, _FALSE)
+
+    def value(self, root: int, memo: dict[int, int]) -> int:
+        """Evaluate root within one block entry, whose values memo holds."""
+        nodes, phi_values, limit = self.nodes, self.phi_values, self.max_steps
         stack = [root]
+        # The nodes whose operands are running, on the stack above them.
         onstack: set[int] = set()
         while stack:
             nid = stack[-1]
-            cached = memo.get(nid)
-            if cached is not None and cached[0] == epoch:
+            if nid in memo:
                 stack.pop()
+                continue
+            d = nodes.get(nid)
+            if d is None:
+                d = nodes[nid] = self.decode(nid)
+            tag, fn, operands, extra = d
+            if nid in onstack:
                 onstack.discard(nid)
-                continue
-            node = g.node(nid)
-            op = op_of[node.kind]
-            if op is const_op:
-                self._bump()
-                memo[nid] = (epoch, node.value)
-                stack.pop()
-                continue
-            if op is phi_op:
-                try:
-                    value = self.phi_values[nid]
-                except KeyError:
-                    raise InterpreterError(
-                        f"Phi {nid} read before any predecessor assigned it"
-                    ) from None
-                self._bump()
-                if type(value) is _Trap:
-                    raise value
-                memo[nid] = (epoch, value)
-                stack.pop()
-                continue
-            edges = g.operand_edges(nid)
-            missing = []
-            vals = []
-            for e in edges:
-                c = memo.get(e.dst)
-                if c is None or c[0] != epoch:
-                    missing.append(e.dst)
-                else:
-                    vals.append(c[1])
-            if missing:
-                onstack.add(nid)
-                for d in reversed(missing):
-                    if d in onstack:
-                        raise InterpreterError(f"dataflow cycle through node {d}")
-                    stack.append(d)
-                continue
-            memo[nid] = (epoch, self._compute(nid, node, op, vals))
-            onstack.discard(nid)
+            elif operands:
+                missing = [o for o in operands if o not in memo]
+                if missing:
+                    onstack.add(nid)
+                    for o in reversed(missing):
+                        if o in onstack:
+                            raise InterpreterError(f"dataflow cycle through node {o}")
+                        stack.append(o)
+                    continue
+            elif tag == _READ_PHI and nid not in phi_values:
+                raise InterpreterError(f"Phi {nid} read before any predecessor assigned it")
+            self.steps += 1
+            if self.steps > limit:
+                raise _Trap(TRAP_STEP_LIMIT)
+            if tag == _BINARY:
+                v = fn(memo[operands[0]], memo[operands[1]])
+                if v is None:
+                    raise _Trap(TRAP_DIV_BY_ZERO)
+            elif tag == _VALUE:
+                v = extra
+            elif tag == _IMMEDIATE:
+                v = fn(memo[operands[0]], extra)
+                if v is None:
+                    raise _Trap(TRAP_DIV_BY_ZERO)
+            elif tag == _READ_PHI:
+                v = phi_values[nid]
+                if type(v) is _Trap:
+                    raise v
+            elif tag == _UNARY:
+                v = fn(memo[operands[0]])
+            else:
+                raise InterpreterError(extra)
+            memo[nid] = v
             stack.pop()
-        return memo[root][1]
-
-    def _compute(self, nid: int, node, op: NodeKind, vals: list[int]) -> int:
-        self._bump()
-        if op in BINARY_KINDS:
-            b = node.value if node.kind in IMMEDIATE_KINDS else vals[1]
-            value = apply_binary(op, vals[0], b, node.relation)
-            if value is None:
-                raise _Trap(TRAP_DIV_BY_ZERO)
-            return value
-        if op is _NOT:
-            return apply_not(vals[0])
-        if op is _LOAD:
-            if node.volatile:
-                try:
-                    return self.inputs[nid]
-                except KeyError:
-                    raise InterpreterError(
-                        f"no input value for volatile Load {nid}"
-                    ) from None
-            return 0
-        raise InterpreterError(f"{node.kind.value} node {nid} does not produce a value")
+        return memo[root]
 
 
 def execute(
@@ -197,69 +222,48 @@ def execute(
     if g.start_block is None or g.start_block not in g:
         raise InterpreterError("graph has no start block")
     for nid, value in (inputs or {}).items():
-        if not isinstance(value, int) or isinstance(value, bool) or not (
-            INT_MIN <= value <= INT_MAX
-        ):
-            raise InterpreterError(
-                f"input {value!r} for node {nid} is not a 32-bit signed integer"
-            )
-    m = _Machine(g, dict(inputs or {}), max_steps)
-    cur = g.start_block
-    entry_pos: int | None = None
+        if not isinstance(value, int) or isinstance(value, bool) or not INT_MIN <= value <= INT_MAX:
+            raise InterpreterError(f"input {value!r} for node {nid} is not a 32-bit signed integer")
+    run = _Run(g, dict(inputs or {}), max_steps)
+    blocks = run.blocks
+    memo: dict[int, int] = {}
+    cur, pos = g.start_block, None
     try:
         while True:
-            phis, xfer = m.block_info(cur)
-            if entry_pos is not None and phis:
+            b = blocks.get(cur)
+            if b is None:
+                b = blocks[cur] = run.decode_block(cur)
+            phis, op, operand, succ, other = b
+            if pos is not None and phis:
                 updates = {}
-                for phi in phis:
-                    operand = None
-                    for e in g.operand_edges(phi):
-                        if e.position == entry_pos:
-                            operand = e.dst
-                            break
-                    if operand is None:
+                for phi, by_pos in phis:
+                    if pos not in by_pos:
                         raise InterpreterError(
-                            f"Phi {phi} has no operand for predecessor position {entry_pos}"
+                            f"Phi {phi} has no operand for predecessor position {pos}"
                         )
                     try:
-                        updates[phi] = m.eval(operand)
+                        updates[phi] = run.value(by_pos[pos], memo)
                     except _Trap as trap:
                         if trap.reason == TRAP_STEP_LIMIT:
                             raise
                         updates[phi] = trap
-                m.epoch += 1
-                m.phi_values.update(updates)
-            else:
-                m.epoch += 1
-            if xfer is None:
-                raise InterpreterError(f"block {cur} has no control transfer")
-            m._bump()
-            kind = g.node(xfer).kind
-            op = _OP_OF[kind]
-            if op is _RETURN:
-                ops = g.operand_edges(xfer)
-                if len(ops) != 1:
-                    raise InterpreterError(f"Return {xfer} needs exactly one operand")
-                return ExecResult(m.eval(ops[0].dst), None, m.steps)
-            if op is _JMP:
-                succ = g.in_edges(xfer, _CONTROLFLOW)
-                if len(succ) != 1:
-                    raise InterpreterError(f"Jmp {xfer} has {len(succ)} successors")
-                cur, entry_pos = succ[0].src, succ[0].position
-                continue
-            if op is _COND:
-                ops = g.operand_edges(xfer)
-                if len(ops) != 1:
-                    raise InterpreterError(f"Cond {xfer} needs exactly one operand")
-                value = m.eval(ops[0].dst)
-                wanted = _TRUE if value != 0 else _FALSE
-                succ = g.in_edges(xfer, wanted)
-                if len(succ) != 1:
-                    raise InterpreterError(
-                        f"Cond {xfer} has {len(succ)} {wanted.value} successors"
-                    )
-                cur, entry_pos = succ[0].src, succ[0].position
-                continue
-            raise InterpreterError(f"{kind.value} node {xfer} cannot transfer control")
+                run.phi_values.update(updates)
+            memo = {}
+            if op is None:
+                raise InterpreterError(operand)
+            run.steps += 1
+            if run.steps > max_steps:
+                raise _Trap(TRAP_STEP_LIMIT)
+            if type(operand) is str:
+                raise InterpreterError(operand)
+            if op is not _JMP:
+                value = run.value(operand, memo)
+                if op is _RETURN:
+                    return ExecResult(value, None, run.steps)
+                if value == 0:
+                    succ = other
+            if type(succ) is str:
+                raise InterpreterError(succ)
+            cur, pos = succ
     except _Trap as trap:
-        return ExecResult(None, trap.reason, m.steps)
+        return ExecResult(None, trap.reason, run.steps)

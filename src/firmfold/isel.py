@@ -10,7 +10,7 @@ contain them cannot be lowered.
 
 from __future__ import annotations
 
-from .errors import ContractError, VerificationError
+from .errors import ContractError, PassOutputError, VerificationError
 from .ir import (
     ANCHOR_KINDS,
     COMMUTATIVE_KINDS,
@@ -72,7 +72,8 @@ def run_instruction_selection(g: FirmGraph) -> None:
 
     Raises ContractError when handed a graph that already contains target
     kinds or when an IR operation (Div, Mod, or anything else without a
-    target form) survives lowering."""
+    target form) survives lowering, and PassOutputError, a ContractError,
+    when the lowered graph fails verification."""
     findings = verify(g)
     if findings:
         raise VerificationError(findings, "before instruction selection")
@@ -99,4 +100,4 @@ def run_instruction_selection(g: FirmGraph) -> None:
         )
     findings = verify(g)
     if findings:
-        raise VerificationError(findings, "after instruction selection")
+        raise PassOutputError(findings, "after instruction selection")

@@ -84,6 +84,40 @@ def test_fold_round_limit_is_a_contract_breach(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_output_that_fails_verification_is_a_contract_breach(tmp_path, capsys):
+    # Only Cond(Const 0)'s True edge enters the block that defines the
+    # Load, yet the tail block, also entered from the False edge, reads
+    # it. verify has no dominance rule, so the graph verifies clean;
+    # optimize deletes the dead block with the Load and leaves the Add with
+    # one operand, which its exit check reports.
+    g, entry, _ = func_graph()
+    zero = g.add_node(NodeKind.CONST, value=0, block=entry)
+    cond = g.add_node(NodeKind.COND, block=entry)
+    g.add_edge(cond, zero, EdgeKind.DATAFLOW, 0)
+    then_b = g.add_node(NodeKind.BLOCK)
+    g.add_edge(then_b, cond, EdgeKind.TRUE, 0)
+    addr = g.add_node(NodeKind.CONST, value=0, block=then_b)
+    load = g.add_node(NodeKind.LOAD, volatile=True, block=then_b)
+    g.add_edge(load, addr, EdgeKind.DATAFLOW, 0)
+    jmp = g.add_node(NodeKind.JMP, block=then_b)
+    tail = g.add_node(NodeKind.BLOCK)
+    g.add_edge(tail, jmp, EdgeKind.CONTROLFLOW, 0)
+    g.add_edge(tail, cond, EdgeKind.FALSE, 1)
+    two = g.add_node(NodeKind.CONST, value=2, block=tail)
+    add = g.add_node(NodeKind.ADD, block=tail)
+    g.add_edge(add, load, EdgeKind.DATAFLOW, 0)
+    g.add_edge(add, two, EdgeKind.DATAFLOW, 1)
+    finish_return(g, tail, add)
+    src = tmp_path / "in.json"
+    save(g, src)
+    assert main(["verify", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["fold", str(src), "-o", str(tmp_path / "o.json")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: after optimize"
+    assert [line.split("\t")[0] for line in err[1:]] == ["V2", "V3"]
+
+
 @pytest.mark.parametrize("command", ["fold", "run"])
 @pytest.mark.parametrize("rounds", ["0", "-1"])
 def test_round_limit_below_one_is_a_usage_error(tmp_path, capsys, command, rounds):
