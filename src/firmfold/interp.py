@@ -128,6 +128,7 @@ class _Run:
         then False edge, enters. A bad shape's slot holds its error message."""
         g = self.g
         nodes = g._nodes
+        g.node(block)  # a missing id raises GraphError, as in members_of
         phis = []
         xfer = None
         for m in g._members.get(block, ()):

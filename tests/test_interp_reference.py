@@ -25,12 +25,13 @@ from conftest import (
     func_graph,
     golden_corpus,
 )
-from firmfold.arith import COMPARE, BINARY
+from firmfold.arith import BINARY, COMPARE
 from firmfold.cfgfold import optimize
-from firmfold.errors import InterpreterError
+from firmfold.errors import GraphError, InterpreterError
 from firmfold.graphio import GenSpec, generate
 from firmfold.interp import execute
-from firmfold.ir import BINARY_KINDS, INT_MAX, INT_MIN, OPS, EdgeKind, FirmGraph, NodeKind, Relation
+from firmfold.ir import BINARY_KINDS, INT_MAX, INT_MIN, OPS, Edge, EdgeKind, FirmGraph, NodeKind
+from firmfold.ir import Relation
 from firmfold.isel import run_instruction_selection
 from reference_interp import execute as reference_execute
 
@@ -245,6 +246,16 @@ def test_a_bad_shape_the_run_never_reaches_raises_nothing():
 @pytest.mark.parametrize("name", sorted(broken_graphs(), key=lambda n: int(n[1:])))
 def test_graphs_that_fail_verification_run_as_in_the_reference(name):
     _sweep(broken_graphs()[name], upto=30)
+
+
+def test_a_successor_missing_from_the_graph_raises_as_in_the_reference():
+    g, names = build_jmp_chain(k=1)
+    jmp = _edge(g, names["hops"][0], CF).dst
+    g.delete_edge(_edge(g, names["hops"][0], CF))
+    # The public mutators cannot leave a dangling edge, so forge one.
+    g._in[jmp].append(Edge(10_000, jmp, CF, 0))
+    kind, text = _sweep(g, upto=5)
+    assert kind is GraphError and "10000" in text
 
 
 # -- seeded differential -------------------------------------------------------
