@@ -14,10 +14,19 @@ in ir, a mark-sweep that keeps the control transfers and memory accesses
 and what they read, and deletes the rest at once, dead cycles included;
 optimize and cleanup_round reach it through _exhaust_unused, and isel
 calls it directly.
+
+Block merging has two partners, after the Clean pass of Cooper and
+Torczon: bypass_empty_block deletes a block that holds only a Jmp and that
+one True or False edge of a Cond enters, so the Cond enters the Jmp's
+successor directly, and fold_redundant_cond turns a Cond whose two edges
+enter one block without Phis into a Jmp, unless its operand can trap
+(trapping_nodes, computed once per sweep). Both run after merging, so the
+rules whose rewrites give them matches run before them in the same round.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from .constfold import fold_dataflow_fixpoint
@@ -26,6 +35,7 @@ from .ir import (
     ANCHOR_KINDS,
     COMMUTATIVE_KINDS,
     CONTROL_TRANSFER_KINDS,
+    Edge,
     EdgeKind,
     FirmGraph,
     NodeKind,
@@ -37,6 +47,7 @@ from . import constfold
 _BLOCK, _JMP, _COND, _PHI, _CONST = (
     NodeKind.BLOCK, NodeKind.JMP, NodeKind.COND, NodeKind.PHI, NodeKind.CONST
 )
+_DIV, _MOD = NodeKind.DIV, NodeKind.MOD
 _DATAFLOW, _CONTROLFLOW = EdgeKind.DATAFLOW, EdgeKind.CONTROLFLOW
 _TRUE, _FALSE = EdgeKind.TRUE, EdgeKind.FALSE
 # The kind sets the cleanup sweeps visit.
@@ -66,10 +77,72 @@ def fold_cond(g: FirmGraph, nid: int) -> bool:
         taken, untaken = true_edges[0], false_edges[0]
     else:
         taken, untaken = false_edges[0], true_edges[0]
+    _cond_to_jmp(g, nid, op_edges[0], taken, untaken)
+    return True
+
+
+def _cond_to_jmp(g: FirmGraph, nid: int, operand: Edge, taken: Edge, untaken: Edge) -> None:
+    """The rewrite a folded Cond ends with: the untaken edge goes, the taken
+    one becomes a plain Controlflow edge, and the Cond a Jmp without its
+    operand."""
     g.delete_edge(untaken)
     g.retype_edge(taken, _CONTROLFLOW)
     g.retype_node(nid, _JMP)
-    g.delete_edge(op_edges[0])
+    g.delete_edge(operand)
+
+
+def trapping_nodes(g: FirmGraph) -> set[int]:
+    """The nodes from which a Div or Mod is reachable over Dataflow edges.
+
+    One walk back over Dataflow in-edges from every Div and Mod, so Phis
+    count too: a Phi re-raises its operand's deferred trap when read. Empty
+    when the graph has no Div or Mod.
+    """
+    nodes, ins = g._nodes, g._in
+    found = [nid for nid, node in nodes.items() if node.kind is _DIV or node.kind is _MOD]
+    marked = set(found)
+    # The loop visits what it appends.
+    for nid in found:
+        for e in ins[nid]:
+            src = e.src
+            if e.kind is _DATAFLOW and src not in marked:
+                marked.add(src)
+                found.append(src)
+    return marked
+
+
+def fold_redundant_cond(g: FirmGraph, nid: int, trapping: set[int] | None = None) -> bool:
+    """A Cond whose True and False edges both enter one block without Phis
+    becomes a Jmp, when its operand cannot trap.
+
+    Both branches then reach the same code with the same values, so only a
+    trap in the condition could tell them apart; trapping is
+    trapping_nodes(g), computed here when not given. The edge at the lower
+    position is kept, through fold_cond's rewrite, and the block's
+    positions are renumbered at once, which needs no Phi remapped.
+    """
+    if nid not in g or g.node(nid).kind is not _COND:
+        return False
+    op_edges = g.operand_edges(nid)
+    if len(op_edges) != 1:
+        return False
+    true_edges = g.in_edges(nid, _TRUE)
+    false_edges = g.in_edges(nid, _FALSE)
+    if len(true_edges) != 1 or len(false_edges) != 1:
+        return False
+    block = true_edges[0].src
+    if false_edges[0].src != block:
+        return False
+    # The membership table itself: the test needs no order.
+    if any(g.node(m).kind is _PHI for m in g._members.get(block, ())):
+        return False
+    if trapping is None:
+        trapping = trapping_nodes(g)
+    if op_edges[0].dst in trapping:
+        return False
+    taken, untaken = sorted((true_edges[0], false_edges[0]), key=lambda e: e.position)
+    _cond_to_jmp(g, nid, op_edges[0], taken, untaken)
+    fix_edge_position(g, block)
     return True
 
 
@@ -204,6 +277,41 @@ def merge_blocks(g: FirmGraph, nid: int) -> bool:
     return True
 
 
+def bypass_empty_block(g: FirmGraph, nid: int) -> bool:
+    """Delete a block that holds only a Jmp and is entered by one Cond True
+    or False edge, and let the Cond enter the Jmp's successor directly.
+
+    The successor's Controlflow edge from the Jmp moves onto the Cond and
+    takes the kind of the deleted block's edge; it keeps its position, so
+    the successor's Phis read what they read before. The start and end
+    blocks stay, and so does a block with more predecessors, whose
+    successor's Phi positions would have to change.
+    """
+    if nid not in g or g.node(nid).kind is not _BLOCK:
+        return False
+    if nid == g.start_block or nid == g.end_block:
+        return False
+    members = g._members.get(nid, ())
+    if len(members) != 1:
+        return False
+    (jmp,) = members
+    if g.node(jmp).kind is not _JMP:
+        return False
+    ctrl = g.control_in_edges(nid)
+    if len(ctrl) != 1 or ctrl[0].kind is _CONTROLFLOW:
+        return False
+    cond = ctrl[0].dst
+    if g.node(cond).kind is not _COND:
+        return False
+    succ = g.in_edges(jmp)
+    if len(succ) != 1 or succ[0].kind is not _CONTROLFLOW:
+        return False
+    g.retarget_edge(succ[0], cond)
+    g.retype_edge(succ[0], ctrl[0].kind)
+    g.delete_nodes((nid, jmp))
+    return True
+
+
 def _sweep(
     g: FirmGraph, rule: Callable[[FirmGraph, int], object], kinds: frozenset[NodeKind]
 ) -> bool:
@@ -237,6 +345,10 @@ _CLEANUP_STEPS: dict[str, Callable[[FirmGraph], bool]] = {
     "assoc": lambda g: _sweep(g, constfold.fold_assoc_comm, COMMUTATIVE_KINDS),
     "unused": lambda g: _exhaust_unused(g),
     "merge": lambda g: _sweep(g, merge_blocks, _BLOCKS),
+    "bypass": lambda g: _sweep(g, bypass_empty_block, _BLOCKS),
+    "redundant": lambda g: _sweep(
+        g, partial(fold_redundant_cond, trapping=trapping_nodes(g)), _CONDS
+    ),
 }
 # optimize's rules in order: "fold", the dataflow fixpoint, then cleanup_round's.
 _RULES = ("fold", *_CLEANUP_STEPS)
@@ -246,30 +358,44 @@ _RULES = ("fold", *_CLEANUP_STEPS)
 # of plain control (see _plain_control).
 _ENABLES: dict[str, frozenset[str]] = {
     # A fresh Const can complete a Cond's or a link's operands; the folded
-    # node's operands lose a reader; fold_phi deletes a Phi.
-    "fold": frozenset({"fold_cond", "assoc", "unused", "merge"}),
+    # node's operands lose a reader; fold_phi deletes a Phi, which may have
+    # been its block's only member but the Jmp or its last Phi; a folded
+    # Div or Mod, or a node over one, no longer traps.
+    "fold": frozenset({"fold_cond", "assoc", "unused", "merge", "bypass", "redundant"}),
     # The untaken successor loses a predecessor; the taken one now follows
-    # a Jmp; the condition loses a reader.
-    "fold_cond": frozenset({"reach", "phi_op", "fep", "unused", "merge"}),
+    # a Jmp; the condition loses a reader; a block that held only the Cond
+    # now holds only a Jmp.
+    "fold_cond": frozenset({"reach", "phi_op", "fep", "unused", "merge", "bypass"}),
     # Deleted members and transfers take operands and predecessors from
-    # live nodes with them, and can open a link on a ring through no Phi.
-    "reach": frozenset({"fold", "phi_op", "fep", "simplify", "assoc", "unused", "merge"}),
-    # A Phi left with fewer operands.
-    "phi_op": frozenset({"fold", "simplify", "unused"}),
+    # live nodes with them, and can open a link on a ring through no Phi or
+    # cut a Phi's path to a Div.
+    "reach": frozenset(
+        {"fold", "phi_op", "fep", "simplify", "assoc", "unused", "merge", "bypass", "redundant"}
+    ),
+    # A Phi left with fewer operands, maybe none that reaches a Div.
+    "phi_op": frozenset({"fold", "simplify", "unused", "redundant"}),
     # Positions only; phi_op, due with it, has just put every Phi operand
     # on a live position, which the renumbering keeps live.
     "fep": frozenset(),
     # The Phi's readers now read its operand, a Const or a link; its block
-    # may lose its last Phi. Every path that ran through the Phi now ends
-    # at that operand, so nothing goes unread.
-    "simplify": frozenset({"fold", "fold_cond", "assoc", "merge"}),
+    # may lose its last Phi, or hold only its Jmp. Every path that ran
+    # through the Phi now ends at that operand, so nothing goes unread.
+    "simplify": frozenset({"fold", "fold_cond", "assoc", "merge", "bypass", "redundant"}),
     # The old links and constants lose a reader.
     "assoc": frozenset({"unused"}),
-    # A dead Phi was its block's last.
-    "unused": frozenset({"merge"}),
+    # A dead Phi was its block's last, or a dead value its block's last
+    # member but the Jmp.
+    "unused": frozenset({"merge", "bypass", "redundant"}),
     # The members move and reachability holds; under plain control no
     # other edge entered the Jmp or the Block.
     "merge": frozenset(),
+    # The Cond may now enter one block by both edges. Positions hold, and
+    # a successor that held only a Jmp would have merged first.
+    "bypass": frozenset({"redundant"}),
+    # The join loses a predecessor, renumbered on the spot, and may be left
+    # with the one Controlflow edge; the condition loses a reader; a block
+    # that held only the Cond now holds only a Jmp.
+    "redundant": frozenset({"unused", "merge", "bypass"}),
 }
 # The rules a verified graph gives no match right after the pre-pass: V7
 # leaves fix_edge_position nothing to renumber, V4 leaves no Phi operand
@@ -284,9 +410,12 @@ def _plain_control(g: FirmGraph) -> bool:
 
     _ENABLES relies on this: the rules that delete value nodes then drop no
     predecessor, and merge_blocks drops only the edge it follows. No rule
-    adds a control edge or an edge into a Block, Cond or entered Jmp, so it
-    holds throughout optimize once it holds on entry. Generated graphs keep
-    it; a graph that verifies without it gets the every-rule passes.
+    adds a control edge or an edge into a Block or entered Jmp. One moves an
+    edge onto a Cond: bypass_empty_block gives it the edge of the Jmp it
+    deletes, in place of the True or False edge that goes with the block, so
+    the Cond keeps one of each. So it holds throughout optimize once it
+    holds on entry. Generated graphs keep it; a graph that verifies without
+    it gets the every-rule passes.
     """
     # FirmGraph's tables, read directly as verify does: this runs on every
     # optimize call.

@@ -12,7 +12,9 @@ memo, then installs all updates at once; reading a Phi returns its value.
 A Phi holds its operand's trap, and reading it raises the trap, so an
 unread Phi traps no more than any other unread value. The step-limit trap
 is never deferred, and neither is an InterpreterError, which is not a
-trap; optimize may delete the dead node that raises one.
+trap; optimize may delete the dead node that raises one, and may fold a
+Cond whose two edges enter one block, so that a condition that would
+raise one is no longer demanded. A condition that can trap is kept.
 
 Volatile Loads read the inputs mapping, keyed by node id; non-volatile
 Loads produce 0 and Stores are never demanded. Division by zero and

@@ -1,5 +1,8 @@
 """Control-flow cleanup rules, one at a time and through optimize()."""
 
+import itertools
+import random
+
 import pytest
 
 from conftest import (
@@ -14,26 +17,32 @@ from conftest import (
     finish_return,
     func_graph,
     golden_corpus,
+    sized_gen_spec,
 )
 from firmfold import cfgfold
 from firmfold.cfgfold import (
     _exhaust_unused,
+    bypass_empty_block,
     cleanup_round,
     fix_edge_position,
     fold_cond,
+    fold_redundant_cond,
     merge_blocks,
     optimize,
     remove_unreachable_block,
     remove_unreachable_node,
     remove_unreachable_phi_operand,
     simplify_trivial_phi,
+    trapping_nodes,
 )
 from firmfold.constfold import fold_dataflow_fixpoint
 from firmfold.errors import ContractError, GraphError, InterpreterError, VerificationError
-from firmfold.interp import execute
-from firmfold.ir import EdgeKind, NodeKind
+from firmfold.graphio import generate
+from firmfold.interp import TRAP_STEP_LIMIT, execute
+from firmfold.ir import BINARY_KINDS, INT_MAX, INT_MIN, EdgeKind, NodeKind, Relation
 from firmfold.verifier import verify
 from reference_dce import dead_nodes, remove_unused_node, remove_unused_to_fixpoint
+from test_optimize_schedule import _blocks, _cond, _const, _jmp, _load, _op
 
 
 def _block_census(g):
@@ -510,3 +519,292 @@ def test_optimize_leaves_a_real_loop_running():
     )
     result = execute(g)
     assert result.ok and result.value == 5
+
+
+# -- empty arms and redundant branches ---------------------------------------
+
+EDGE_VALUES = (INT_MIN, -1, 0, 1, INT_MAX)
+
+
+def _verdicts(g):
+    """(value, trapped) of g on every mix of EDGE_VALUES over its volatile
+    Loads (each Load takes each value in turn past two Loads)."""
+    loads = sorted(n for n, node in g.items() if node.kind is NodeKind.LOAD and node.volatile)
+    if len(loads) <= 2:
+        mixes = itertools.product(EDGE_VALUES, repeat=len(loads))
+    else:
+        mixes = ((v,) * len(loads) for v in EDGE_VALUES)
+    return [
+        (r.value, r.trapped)
+        for r in (execute(g, dict(zip(loads, mix))) for mix in mixes)
+    ]
+
+
+def _control_in(g, block):
+    return [(e.kind, e.position, e.dst) for e in g.control_in_edges(block)]
+
+
+def _optimize_keeps_verdicts(g):
+    """optimize a copy of g; both verify and give the same verdicts."""
+    assert verify(g) == []
+    optimized = g.copy()
+    optimize(optimized)
+    assert cfgfold._plain_control(optimized)
+    assert _verdicts(optimized) == _verdicts(g)
+    return optimized
+
+
+def test_bypass_puts_both_arms_of_a_phi_diamond_on_one_cond():
+    g, names = build_diamond()
+    before = _verdicts(g)
+    cond, join = names["cond"], names["join"]
+    assert bypass_empty_block(g, names["then_b"]) is True
+    assert bypass_empty_block(g, names["else_b"]) is True
+    assert names["then_b"] not in g and names["then_jmp"] not in g
+    assert names["else_b"] not in g and names["else_jmp"] not in g
+    assert _control_in(g, join) == [(EdgeKind.TRUE, 0, cond), (EdgeKind.FALSE, 1, cond)]
+    assert verify(g) == [] and cfgfold._plain_control(g)
+    assert _verdicts(g) == before
+    # the Phi tells the two edges apart
+    assert fold_redundant_cond(g, cond) is False
+    optimized = _optimize_keeps_verdicts(build_diamond()[0])
+    assert optimized.node(cond).kind is NodeKind.COND and names["phi"] in optimized
+    assert _kind_census(optimized) == sorted(
+        ["Block", "Block", "Block", "Start", "End", "Const", "Load", "Cond",
+         "Const", "Const", "Phi", "Return"]
+    )
+
+
+def _empty_diamond(condition):
+    """A Cond in the entry over condition(g, entry), two arms that hold
+    only a Jmp, and a join without Phis that returns a Load."""
+    g, entry, _ = func_graph()
+    then_b, else_b, join = _blocks(g, 3)
+    cond = _cond(g, entry, condition(g, entry), (then_b, 0), (else_b, 0))
+    _jmp(g, then_b, join, 0)
+    _jmp(g, else_b, join, 1)
+    finish_return(g, join, _load(g, join))
+    return g, cond
+
+
+def test_a_diamond_of_empty_arms_without_phis_folds_away():
+    g, cond = _empty_diamond(
+        lambda g, entry: _op(g, NodeKind.ADD, entry, _load(g, entry), _load(g, entry))
+    )
+    optimized = _optimize_keeps_verdicts(g)
+    # one code block: the condition went unread, its Loads stay
+    assert _kind_census(optimized) == sorted(
+        ["Block", "Block", "Start", "End", "Const", "Load", "Const", "Load",
+         "Const", "Load", "Return"]
+    )
+    assert _block_census(optimized) == [g.start_block, g.end_block]
+    assert cond not in optimized
+
+
+def test_a_loop_body_that_only_jumps_back_becomes_a_self_edge():
+    # i = Phi(0, n) and n = i + 1 in the header, which loops while n < x;
+    # the body holds only its Jmp back to the header.
+    g, entry, _ = func_graph()
+    x = _load(g, entry)
+    zero, one = _const(g, entry, 0), _const(g, entry, 1)
+    header, body, exit_b = _blocks(g, 3)
+    _jmp(g, entry, header, 0)
+    i = g.add_node(NodeKind.PHI, block=header)
+    n = _op(g, NodeKind.ADD, header, i, one)
+    g.add_edge(i, zero, DF, 0)
+    g.add_edge(i, n, DF, 1)
+    less = g.add_node(NodeKind.CMP, relation=Relation.LESS, block=header)
+    g.add_edge(less, n, DF, 0)
+    g.add_edge(less, x, DF, 1)
+    cond = _cond(g, header, less, (body, 0), (exit_b, 0))
+    back = _jmp(g, body, header, 1)
+    finish_return(g, exit_b, i)
+    before = _verdicts(g)
+    assert bypass_empty_block(g, body) is True
+    assert body not in g and back not in g
+    assert _control_in(g, header)[1] == (EdgeKind.TRUE, 1, cond)
+    assert g.block_of(cond) == header
+    assert verify(g) == [] and cfgfold._plain_control(g)
+    assert _verdicts(g) == before
+    assert execute(g, {x: 1}).value == 0 and execute(g, {x: 4}).value == 3
+
+
+def test_bypass_refuses_an_arm_with_a_phi_or_a_second_member():
+    for member in ("phi", "load"):
+        g, names = build_diamond()
+        arm = names["then_b"]
+        if member == "phi":
+            phi = g.add_node(NodeKind.PHI, block=arm)
+            g.add_edge(phi, names["cond_src"], DF, 0)
+        else:
+            _load(g, arm)
+        assert verify(g) == []
+        assert bypass_empty_block(g, arm) is False
+        _optimize_keeps_verdicts(g)
+
+
+def test_bypass_refuses_a_true_edge_into_a_non_cond():
+    g, entry, _ = func_graph()
+    arm, tail = _blocks(g, 2)
+    jmp = g.add_node(NodeKind.JMP, block=entry)
+    g.add_edge(arm, jmp, EdgeKind.TRUE, 0)
+    _jmp(g, arm, tail, 0)
+    finish_return(g, tail, _const(g, tail, 1))
+    assert bypass_empty_block(g, arm) is False
+    # and a block entered by a plain Controlflow edge is merge_blocks' case
+    g, names = build_jmp_chain(2)
+    assert bypass_empty_block(g, names["hops"][0]) is False
+
+
+def _redundant_cond_over(condition):
+    """entry jumps to b, where condition(g, entry, b) is read by a Cond
+    whose True and False edges both enter the tail; the tail returns a Load."""
+    g, entry, _ = func_graph()
+    b, tail = _blocks(g, 2)
+    _jmp(g, entry, b, 0)
+    cond = _cond(g, b, condition(g, entry, b), (tail, 0), (tail, 1))
+    finish_return(g, tail, _load(g, entry))
+    return g, cond
+
+
+def test_a_redundant_cond_over_a_div_through_a_phi_is_kept():
+    def through_phi(g, entry, b):
+        div = _op(g, NodeKind.DIV, entry, _load(g, entry), _load(g, entry))
+        phi = g.add_node(NodeKind.PHI, block=b)
+        g.add_edge(phi, div, DF, 0)
+        return phi
+
+    g, cond = _redundant_cond_over(through_phi)
+    phi = g.operands_of(cond)[0][0]
+    assert phi in trapping_nodes(g)
+    assert fold_redundant_cond(g, cond) is False
+    optimized = _optimize_keeps_verdicts(g)
+    assert optimized.node(cond).kind is NodeKind.COND
+    assert "divide-by-zero" in {t for _v, t in _verdicts(optimized)}
+
+
+def test_a_redundant_cond_over_a_volatile_load_folds_and_keeps_the_load():
+    g, cond = _redundant_cond_over(lambda g, entry, b: _load(g, b))
+    load = g.operands_of(cond)[0][0]
+    before = _verdicts(g)
+    assert trapping_nodes(g) == set()
+    assert fold_redundant_cond(g, cond) is True
+    assert g.node(cond).kind is NodeKind.JMP and g.operands_of(cond) == []
+    assert [(k, p) for k, p, _dst in _control_in(g, g.in_edges(cond)[0].src)] == [
+        (EdgeKind.CONTROLFLOW, 0)
+    ]
+    assert verify(g) == [] and _verdicts(g) == before
+    optimized = _optimize_keeps_verdicts(_redundant_cond_over(lambda g, entry, b: _load(g, b))[0])
+    assert load in optimized and optimized.node(load).kind is NodeKind.LOAD
+    assert NodeKind.COND not in {node.kind for _nid, node in optimized.items()}
+
+
+def test_a_redundant_cond_keeps_its_lower_edge_and_renumbers_the_join():
+    # The join's third predecessor moves down to position 1.
+    g, entry, _ = func_graph()
+    b, other, join = _blocks(g, 3)
+    _cond(g, entry, _load(g, entry), (b, 0), (other, 0))
+    cond = _cond(g, b, _load(g, entry), (join, 1), (join, 0))
+    _load(g, other)
+    other_jmp = _jmp(g, other, join, 2)
+    finish_return(g, join, _load(g, entry))
+    assert fold_redundant_cond(g, cond) is True
+    assert _control_in(g, join) == [
+        (EdgeKind.CONTROLFLOW, 0, cond), (EdgeKind.CONTROLFLOW, 1, other_jmp)
+    ]
+    assert verify(g) == []
+
+
+def _with_div_and_mod(seed):
+    """A generated graph with about a third of its binary ops retyped to
+    Div or Mod, seeded."""
+    rng = random.Random(50_000 + seed)
+    g = generate(seed, sized_gen_spec(rng))
+    binary = [nid for nid, node in g.items() if node.kind in BINARY_KINDS]
+    for nid in rng.sample(binary, len(binary) // 3):
+        g.retype_node(nid, rng.choice((NodeKind.DIV, NodeKind.MOD)))
+    return g, rng
+
+
+def test_optimize_keeps_every_trap_on_graphs_with_div_and_mod():
+    # Verdicts before and after optimize on seeded inputs that hit zero
+    # divisors and INT_MIN / -1; a run that hits the step limit on either
+    # side says nothing, since no rule keeps that trap.
+    compared = trapped = 0
+    for seed in range(300):
+        g, rng = _with_div_and_mod(seed)
+        assert verify(g) == []
+        optimized = g.copy()
+        optimize(optimized)
+        loads = sorted(n for n, node in g.items() if node.kind is NodeKind.LOAD and node.volatile)
+        for _ in range(4):
+            inputs = {n: rng.choice((*EDGE_VALUES, rng.randint(-9, 9))) for n in loads}
+            a, b = execute(g, inputs, 20_000), execute(optimized, inputs, 20_000)
+            if TRAP_STEP_LIMIT in (a.trapped, b.trapped):
+                continue
+            assert (a.value, a.trapped) == (b.value, b.trapped), seed
+            compared += 1
+            trapped += a.trapped is not None
+    assert compared > 900 and trapped > 20
+
+
+class _CountingTable(dict):
+    """An incidence table that counts the lists read from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountingTable.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        _CountingTable.reads += 1
+        return super().get(key, default)
+
+
+def _redundant_diamonds_over_a_chain(k, div_at_base):
+    """s_1 = x - 1, ..., s_k = s_{k-1} - 1 in the entry, then k diamonds in
+    a row, diamond i a Cond over s_i whose two arms hold only a Jmp to the
+    next. With div_at_base, x is a Div and no Cond may fold; otherwise x is
+    a Load and a Div the last block returns sits aside."""
+    g, entry, _ = func_graph()
+    x = _load(g, entry)
+    side = _op(g, NodeKind.DIV, entry, _load(g, entry), _load(g, entry))
+    if div_at_base:
+        x = side
+    one = _const(g, entry, 1)
+    links = []
+    for _ in range(k):
+        x = _op(g, NodeKind.SUB, entry, x, one)
+        links.append(x)
+    (block,) = _blocks(g, 1)
+    _jmp(g, entry, block, 0)
+    for link in links:
+        then_b, else_b, nxt = _blocks(g, 3)
+        _cond(g, block, link, (then_b, 0), (else_b, 0))
+        _jmp(g, then_b, nxt, 0)
+        _jmp(g, else_b, nxt, 1)
+        block = nxt
+    finish_return(g, block, side)
+    return g
+
+
+@pytest.mark.parametrize("div_at_base", [False, True])
+def test_the_trap_analysis_is_linear_in_the_conds_over_a_shared_chain(div_at_base):
+    # Once the arms are bypassed, one redundant-branch sweep reads incidence
+    # lists in proportion to the graph, however many Conds share the chain:
+    # a walk per Cond would read k(k+1)/2 links.
+    counts = {}
+    for k in (100, 400, 1600):
+        g = _redundant_diamonds_over_a_chain(k, div_at_base)
+        assert verify(g) == []
+        assert cfgfold._CLEANUP_STEPS["bypass"](g)
+        g._in, g._out = _CountingTable(g._in), _CountingTable(g._out)
+        _CountingTable.reads = 0
+        fired = cfgfold._CLEANUP_STEPS["redundant"](g)
+        counts[k] = _CountingTable.reads
+        assert fired is not div_at_base
+        conds = sum(node.kind is NodeKind.COND for _nid, node in g.items())
+        assert conds == (k if div_at_base else 0)
+    assert counts[400] <= 4 * counts[100] * 1.25
+    assert counts[1600] <= 4 * counts[400] * 1.25

@@ -17,6 +17,12 @@ deletes dead cycles too, such as a loop accumulator nothing reads; that
 changed the optimized and lowered texts of 266 of the 503 graphs, each of
 which lost 2 to 18 nodes. test_outputs_hold_no_dead_code_and_keep_verdicts
 pins that no dead node is left and that verdicts hold.
+
+Bypassing blocks that hold only a Jmp behind a Cond edge
+(bypass_empty_block), and folding a Cond whose two edges enter one block
+without Phis (fold_redundant_cond), changed the optimized and lowered
+texts of 137 of the 503 graphs, each of which lost 2 to 218 nodes; the
+input texts, and every verdict, stayed the same.
 """
 
 import hashlib
@@ -33,8 +39,8 @@ from reference_dce import dead_nodes
 
 DIGESTS = {
     "input": "f913f09b8b020250584f989f650cbf65ebf24b79530a17afdb1be8718f5f8cf3",
-    "optimized": "0611a3dfc2225ecf2845ce8d42704c059947d834dc842d65db82e13cfc1a2e8c",
-    "lowered": "306d33374784f9437294949ebeb454424b85b22f3d26286ac86c789bf0696ad0",
+    "optimized": "a3877174be1b5a4d28ae8f43d0ba3b28a76b1c742df3dfd826fa3e9bbbe6978a",
+    "lowered": "f2cfa119cee699ff817e57a6f81bbc439fb9253bef05db80b21a27e903f1527e",
 }
 
 

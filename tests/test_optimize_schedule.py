@@ -115,6 +115,15 @@ def test_golden_corpus_matches_the_every_round_driver():
         _assert_same_as_reference(g)
 
 
+def test_optimize_keeps_plain_control_on_the_golden_corpus():
+    # bypass_empty_block moves an edge onto a Cond, in place of the one it
+    # deletes; a Cond still has one True and one False edge, and no Jmp
+    # gains an edge.
+    for g in golden_corpus():
+        optimize(g)
+        assert cfgfold._plain_control(g)
+
+
 def _wide_spec(rng) -> GenSpec:
     blocks = rng.randint(4, 40)
     return GenSpec(
@@ -254,11 +263,14 @@ def test_the_position_rules_become_due_together():
 # -- witnesses for the table -------------------------------------------------------
 
 
-def _cut_join(y_in_dead_block=False):
+def _cut_join(y_in_dead_block=False, busy_arm=False):
     """A join of three arms whose third arm a Cond on Const 1 cuts in round
     1. Its Phi p = Phi(4, 4, y) reads y on that arm, so p folds only in
     round 2: y lives in the entry, so remove_unreachable_phi_operand prunes
     it, or in the cut arm's own block, which the reachability sweep deletes.
+    The other two arms are empty, so round 1 bypasses them and the split's
+    Cond enters the join by both edges, which fold_redundant_cond folds once
+    p is gone; with busy_arm the left arm holds a volatile Load and stays.
     Returns the graph, the join, p, the Const 4 and a volatile Load x."""
     g, entry, _ = func_graph()
     split, left, right, join = _blocks(g, 4)
@@ -273,6 +285,8 @@ def _cut_join(y_in_dead_block=False):
         y = _const(g, entry, 9)
         _cond(g, entry, _const(g, entry, 1), (split, 0), (join, 2))
     _cond(g, split, x, (left, 0), (right, 0))
+    if busy_arm:
+        _load(g, left)
     _jmp(g, left, join, 0)
     _jmp(g, right, join, 1)
     p = _op(g, K.PHI, join, four, four, y)
@@ -280,11 +294,12 @@ def _cut_join(y_in_dead_block=False):
 
 
 def _w_fold_then_cond():
-    # round 2 folds p, and only then can the Cond over p fold
-    g, join, p, four, _x = _cut_join()
+    # round 2 folds p, and only then can the Cond over p fold; the tail's
+    # Phi, which tells its two edges apart, keeps fold_redundant_cond off it
+    g, join, p, four, x = _cut_join()
     (tail,) = _blocks(g, 1)
     _cond(g, join, p, (tail, 0), (tail, 1))
-    finish_return(g, tail, four)
+    finish_return(g, tail, _op(g, K.PHI, tail, x, four))
     return g
 
 
@@ -297,8 +312,9 @@ def _w_fold_then_assoc():
 
 
 def _w_fold_then_unused():
-    # round 2 folds p and then p * 5, whose Const 5 nothing else reads
-    g, join, p, _four, _x = _cut_join()
+    # round 2 folds p and then p * 5, whose Const 5 nothing else reads; the
+    # busy arm keeps the split's Cond, whose fold would make the sweep due
+    g, join, p, _four, _x = _cut_join(busy_arm=True)
     finish_return(g, join, _op(g, K.MUL, join, p, _const(g, join, 5)))
     return g
 
@@ -382,14 +398,19 @@ def _phi_becomes_const(g, entry):
 
 
 def _w_simplify_then_cond():
-    # Round 2 folds the Cond over q; nothing else fires before it, and the
-    # Return keeps the Const 0 live, so only that fold makes the tail,
-    # entered from the False edge alone, mergeable.
+    # Round 2 folds the Cond over q (Const 0: the False edge to b is
+    # taken); nothing else fires before it, and the Return keeps the Const
+    # 0 live. a, entered by the True edge and by b's Jmp, then has b's Jmp
+    # alone, so only that fold makes a and b mergeable. The Cond enters two
+    # blocks, so it is not redundant, and b's Load keeps b from being
+    # bypassed.
     g, entry, _ = func_graph()
     join, q, zero = _phi_becomes_const(g, entry)
-    (tail,) = _blocks(g, 1)
-    _cond(g, join, q, (tail, 0), (tail, 1))
-    finish_return(g, tail, zero)
+    a, b = _blocks(g, 2)
+    _cond(g, join, q, (a, 0), (b, 0))
+    _load(g, b)
+    _jmp(g, b, a, 1)
+    finish_return(g, a, zero)
     return g
 
 
@@ -446,6 +467,85 @@ def _w_assoc_frees_links():
     return _add_chain(True, k=2)
 
 
+def _w_cond_empties_its_block():
+    # x holds only a Cond over q, which round 2 folds (Const 0: the False
+    # edge to s is taken). a then has s's Jmp alone and merges into s, and
+    # x, entered by the outer Cond's True edge, holds only a Jmp; bypassing
+    # it moves s's edge onto the outer Cond, whose False edge enters s too.
+    g, entry, _ = func_graph()
+    join, q, zero = _phi_becomes_const(g, entry)
+    x, a, s = _blocks(g, 3)
+    _cond(g, join, _load(g, join), (x, 0), (s, 0))
+    _cond(g, x, q, (a, 0), (s, 1))
+    _jmp(g, s, a, 1)
+    finish_return(g, a, zero)
+    return g
+
+
+def _w_div_cut_from_a_phi(in_cut_arm):
+    # Round 2 folds the Cond over q (Const 0) and cuts the join's position
+    # 2, where its Phi p reads a Div: in the cut arm, which the sweep
+    # deletes, or in the entry, where phi_op prunes the edge. The Cond over
+    # p, whose edges both enter the tail, then cannot trap. The Const 0 and
+    # the Div stay read, so the unused sweep finds nothing.
+    g, entry, _ = func_graph()
+    join0, q, zero = _phi_becomes_const(g, entry)
+    mid, join, tail = _blocks(g, 3)
+    if in_cut_arm:
+        (cut,) = _blocks(g, 1)
+        div = _op(g, K.DIV, cut, _load(g, entry), _load(g, entry))
+        _jmp(g, cut, join, 2)
+        _cond(g, join0, q, (cut, 0), (mid, 0))
+    else:
+        div = _op(g, K.DIV, entry, _load(g, entry), _load(g, entry))
+        _cond(g, join0, q, (join, 2), (mid, 0))
+    _cond(g, mid, _load(g, entry), (join, 0), (join, 1))
+    p = _op(g, K.PHI, join, zero, _load(g, entry), div)
+    _cond(g, join, p, (tail, 0), (tail, 1))
+    finish_return(g, tail, zero if in_cut_arm else div)
+    return g
+
+
+def _w_dead_phi_was_the_last():
+    # Round 1 folds the inner Cond, over the Phi s; round 2's sweep then
+    # deletes s, the last Phi of the block that both edges of the outer
+    # Cond enter.
+    g, entry, _ = func_graph()
+    inner, tail = _blocks(g, 2)
+    _cond(g, entry, _load(g, entry), (inner, 0), (inner, 1))
+    s = _op(g, K.PHI, inner, _load(g, entry), _load(g, entry))
+    _cond(g, inner, s, (tail, 0), (tail, 1))
+    finish_return(g, tail, _load(g, entry))
+    return g
+
+
+def _w_empty_diamond(condition):
+    # Round 1 bypasses both empty arms and folds the Cond, whose edges then
+    # both enter the join; the join's one edge and the unread condition are
+    # left for round 2.
+    g, entry, _ = func_graph()
+    then_b, else_b, join = _blocks(g, 3)
+    _cond(g, entry, condition(g, entry), (then_b, 0), (else_b, 0))
+    _jmp(g, then_b, join, 0)
+    _jmp(g, else_b, join, 1)
+    finish_return(g, join, _load(g, entry))
+    return g
+
+
+def _w_redundant_cond_empties_its_block():
+    # Round 1 folds x's Cond, over a Load in the entry, into a Jmp, so x,
+    # entered by the outer Cond's True edge, holds only a Jmp. s keeps two
+    # predecessors, so nothing merges x away first.
+    g, entry, _ = func_graph()
+    x, y, s = _blocks(g, 3)
+    _cond(g, entry, _load(g, entry), (x, 0), (y, 0))
+    _cond(g, x, _load(g, entry), (s, 0), (s, 1))
+    _load(g, y)
+    _jmp(g, y, s, 2)
+    finish_return(g, s, _load(g, entry))
+    return g
+
+
 # (rule that fired, rule it makes due) -> a graph on which optimize without
 # that one entry leaves a different graph or a rule that still fires.
 WITNESSES = {
@@ -469,6 +569,17 @@ WITNESSES = {
     ("simplify", "fold_cond"): _w_simplify_then_cond,
     ("simplify", "assoc"): _w_simplify_then_cond_and_assoc,
     ("assoc", "unused"): _w_assoc_frees_links,
+    ("fold", "redundant"): lambda: _w_cut_join_returns_p(False),
+    ("fold_cond", "bypass"): _w_cond_empties_its_block,
+    ("reach", "redundant"): lambda: _w_div_cut_from_a_phi(True),
+    ("phi_op", "redundant"): lambda: _w_div_cut_from_a_phi(False),
+    ("unused", "redundant"): _w_dead_phi_was_the_last,
+    ("bypass", "redundant"): _w_cond_empties_its_block,
+    ("redundant", "merge"): lambda: _w_empty_diamond(_load),
+    ("redundant", "unused"): lambda: _w_empty_diamond(
+        lambda g, entry: _op(g, K.ADD, entry, _load(g, entry), _const(g, entry, 3))
+    ),
+    ("redundant", "bypass"): _w_redundant_cond_empties_its_block,
 }
 
 
@@ -536,6 +647,32 @@ def _m_dead_phi_frees_a_block():
     return _single_entry_block(_load, read=False)[0]
 
 
+def _arm(member=None, dead_predecessor=False):
+    """A Cond over a Load enters arm, whose Jmp enters join, and join; with
+    member, arm holds member(g, entry, arm) too, and with dead_predecessor
+    a block nothing enters jumps to arm as well."""
+    g, entry, _ = func_graph()
+    arm, join = _blocks(g, 2)
+    _cond(g, entry, _load(g, entry), (arm, 0), (join, 0))
+    if member is not None:
+        member(g, entry, arm)
+    _jmp(g, arm, join, 1)
+    if dead_predecessor:
+        (dead,) = _blocks(g, 1)
+        _jmp(g, dead, arm, 1)
+    finish_return(g, join, _load(g, entry))
+    return g
+
+
+def _m_phi_was_the_last_of_a_join():
+    g, entry, _ = func_graph()
+    (join,) = _blocks(g, 1)
+    _cond(g, entry, _load(g, entry), (join, 0), (join, 1))
+    _op(g, K.PHI, join, _load(g, entry))
+    finish_return(g, join, _load(g, entry))
+    return g
+
+
 # Entries with no witness of the first kind, because whenever the rule can
 # fire in optimize the target is due anyway:
 # - fold -> merge: fold_phi can free a single-entry block only of a Phi with
@@ -545,7 +682,17 @@ def _m_dead_phi_frees_a_block():
 # - phi_op -> unused: phi_op fires only after fold_cond or the sweep in the
 #   same round, and both make unused due;
 # - simplify -> merge and unused -> merge: simplify fires in round 1 or
-#   after phi_op or the sweep, and unused after a rule that makes merge due.
+#   after phi_op or the sweep, and unused after a rule that makes merge due;
+# - fold -> bypass: as fold -> merge, the Phi would be an arm's;
+# - reach -> bypass: the sweep fires only in round 1 or after fold_cond in
+#   the same round, and fold_cond makes bypass due;
+# - simplify -> bypass and simplify -> redundant: simplify fires in round 1
+#   or after phi_op or the sweep in the same round, and those fire only in
+#   round 1 or after fold_cond or the sweep, which make bypass due; phi_op
+#   and the sweep make redundant due;
+# - unused -> bypass: unused fires after a rule that makes bypass due, or
+#   after phi_op or assoc, which fire only after such a rule in the same
+#   round.
 # Each is still a rewrite that gives its target a match, shown here on a
 # graph where one application of the rule does so.
 MASKED = {
@@ -554,6 +701,17 @@ MASKED = {
     ("phi_op", "unused"): _m_pruned_operand_goes_unread,
     ("simplify", "merge"): _m_simplify_frees_a_block,
     ("unused", "merge"): _m_dead_phi_frees_a_block,
+    ("fold", "bypass"): lambda: _arm(
+        lambda g, entry, arm: _op(g, K.PHI, arm, _const(g, entry, 5))
+    ),
+    ("reach", "bypass"): lambda: _arm(dead_predecessor=True),
+    ("simplify", "bypass"): lambda: _arm(
+        lambda g, entry, arm: _op(g, K.PHI, arm, _load(g, entry))
+    ),
+    ("simplify", "redundant"): _m_phi_was_the_last_of_a_join,
+    ("unused", "bypass"): lambda: _arm(
+        lambda g, entry, arm: _op(g, K.ADD, arm, _load(g, entry), _const(g, arm, 2))
+    ),
 }
 
 
