@@ -111,13 +111,13 @@ def trapping_nodes(g: FirmGraph) -> set[int]:
     return marked
 
 
-def fold_redundant_cond(g: FirmGraph, nid: int, trapping: set[int] | None = None) -> bool:
+def fold_redundant_cond(g: FirmGraph, nid: int, trapping: set[int]) -> bool:
     """A Cond whose True and False edges both enter one block without Phis
-    becomes a Jmp, when its operand cannot trap.
+    becomes a Jmp, when its operand is not in trapping, the set
+    trapping_nodes(g) gives.
 
     Both branches then reach the same code with the same values, so only a
-    trap in the condition could tell them apart; trapping is
-    trapping_nodes(g), computed here when not given. The edge at the lower
+    trap in the condition could tell them apart. The edge at the lower
     position is kept, through fold_cond's rewrite, and the block's
     positions are renumbered at once, which needs no Phi remapped.
     """
@@ -136,8 +136,6 @@ def fold_redundant_cond(g: FirmGraph, nid: int, trapping: set[int] | None = None
     # The membership table itself: the test needs no order.
     if any(g.node(m).kind is _PHI for m in g._members.get(block, ())):
         return False
-    if trapping is None:
-        trapping = trapping_nodes(g)
     if op_edges[0].dst in trapping:
         return False
     taken, untaken = sorted((true_edges[0], false_edges[0]), key=lambda e: e.position)

@@ -527,8 +527,9 @@ EDGE_VALUES = (INT_MIN, -1, 0, 1, INT_MAX)
 
 
 def _verdicts(g):
-    """(value, trapped) of g on every mix of EDGE_VALUES over its volatile
-    Loads (each Load takes each value in turn past two Loads)."""
+    """(value, trapped) of g with its volatile Loads fed EDGE_VALUES: every
+    combination for up to two Loads, else one value for all Loads at a
+    time."""
     loads = sorted(n for n, node in g.items() if node.kind is NodeKind.LOAD and node.volatile)
     if len(loads) <= 2:
         mixes = itertools.product(EDGE_VALUES, repeat=len(loads))
@@ -566,7 +567,7 @@ def test_bypass_puts_both_arms_of_a_phi_diamond_on_one_cond():
     assert verify(g) == [] and cfgfold._plain_control(g)
     assert _verdicts(g) == before
     # the Phi tells the two edges apart
-    assert fold_redundant_cond(g, cond) is False
+    assert fold_redundant_cond(g, cond, trapping_nodes(g)) is False
     optimized = _optimize_keeps_verdicts(build_diamond()[0])
     assert optimized.node(cond).kind is NodeKind.COND and names["phi"] in optimized
     assert _kind_census(optimized) == sorted(
@@ -677,7 +678,7 @@ def test_a_redundant_cond_over_a_div_through_a_phi_is_kept():
     g, cond = _redundant_cond_over(through_phi)
     phi = g.operands_of(cond)[0][0]
     assert phi in trapping_nodes(g)
-    assert fold_redundant_cond(g, cond) is False
+    assert fold_redundant_cond(g, cond, trapping_nodes(g)) is False
     optimized = _optimize_keeps_verdicts(g)
     assert optimized.node(cond).kind is NodeKind.COND
     assert "divide-by-zero" in {t for _v, t in _verdicts(optimized)}
@@ -688,7 +689,7 @@ def test_a_redundant_cond_over_a_volatile_load_folds_and_keeps_the_load():
     load = g.operands_of(cond)[0][0]
     before = _verdicts(g)
     assert trapping_nodes(g) == set()
-    assert fold_redundant_cond(g, cond) is True
+    assert fold_redundant_cond(g, cond, trapping_nodes(g)) is True
     assert g.node(cond).kind is NodeKind.JMP and g.operands_of(cond) == []
     assert [(k, p) for k, p, _dst in _control_in(g, g.in_edges(cond)[0].src)] == [
         (EdgeKind.CONTROLFLOW, 0)
@@ -708,7 +709,7 @@ def test_a_redundant_cond_keeps_its_lower_edge_and_renumbers_the_join():
     _load(g, other)
     other_jmp = _jmp(g, other, join, 2)
     finish_return(g, join, _load(g, entry))
-    assert fold_redundant_cond(g, cond) is True
+    assert fold_redundant_cond(g, cond, trapping_nodes(g)) is True
     assert _control_in(g, join) == [
         (EdgeKind.CONTROLFLOW, 0, cond), (EdgeKind.CONTROLFLOW, 1, other_jmp)
     ]
