@@ -219,11 +219,11 @@ def fix_edge_position(g: FirmGraph, block: int) -> bool:
         return False
     phis = [m for m in g.members_of(block) if g.node(m).kind is _PHI]
     for i, e in enumerate(ctrl):
-        e.position = i
+        g.set_position(e, i)
     for phi in phis:
         for e in g.operand_edges(phi):
             if e.position in mapping:
-                e.position = mapping[e.position]
+                g.set_position(e, mapping[e.position])
     return True
 
 

@@ -144,9 +144,9 @@ def fold_assoc_comm(g: FirmGraph, nid: int) -> int | None:
         return None
     const = g.add_node(_CONST, value=value, block=block)
     g.retarget_edge(x_edge, x)
-    x_edge.position = 0
+    g.set_position(x_edge, 0)
     g.retarget_edge(const_edge, const)
-    const_edge.position = 1
+    g.set_position(const_edge, 1)
     return const
 
 

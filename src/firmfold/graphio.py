@@ -450,7 +450,9 @@ class _Generator:
         g.add_edge(join, then_jmp, _CONTROLFLOW, 0)
         g.add_edge(join, else_jmp, _CONTROLFLOW, 1)
         for _ in range(rng.randint(1, 2)):
-            t = rng.choice(then_pool)
+            # With no inputs and no ops before it, an arm has no value yet;
+            # then the condition is constant too, and the arms are Consts.
+            t = rng.choice(then_pool) if then_pool else self.const(self._const_value())
             if self.dyn[cond_val]:
                 e = rng.choice(else_pool)
             else:

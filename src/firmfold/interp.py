@@ -20,19 +20,27 @@ Volatile Loads read the inputs mapping, keyed by node id; non-volatile
 Loads produce 0 and Stores are never demanded. Division by zero and
 exceeding the step budget are traps: defined, reportable outcomes.
 
-A run decodes a node when it first evaluates it, into a tag, its arith
+A node is decoded when a run first evaluates it, into a tag, its arith
 function or value and its operand ids in position order, and a block when
 control first enters it, into its Phis' operand per entry position and
-its transfer's operand and successors. A bad shape is kept as its error
-message and raised only when the run reaches it. Nothing decoded outlives
-the call. tests/reference_interp.py keeps the interpreter that re-reads
-the graph at every step, as the oracle.
+its transfer's operand and successors. A volatile Load decodes to a tag
+that reads the inputs mapping when it is evaluated, so nothing decoded
+depends on a call's inputs. A bad shape is kept as its error message and
+raised only when the run reaches it. The decoded nodes and blocks are
+kept per graph, with the FirmGraph.version they were decoded at, and
+serve every later call until a mutator changes the graph: the next call
+then decodes afresh, so a graph edited between calls runs as edited.
+Each call still has its own Phi values, step count and memos. The table
+holds graphs weakly, so it keeps no graph alive. tests/reference_interp.py
+keeps the interpreter that re-reads the graph at every step, as the
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from weakref import WeakKeyDictionary
 
 from .arith import BINARY, COMPARE, INT_MAX, INT_MIN, apply_binary, apply_not
 from .errors import InterpreterError
@@ -53,8 +61,13 @@ _CONTROLFLOW, _TRUE, _FALSE = EdgeKind.CONTROLFLOW, EdgeKind.TRUE, EdgeKind.FALS
 
 # A decoded node is (tag, arith function, operand ids, extra). extra is a
 # _VALUE node's value (a Load's, once its operands ran), an _IMMEDIATE
-# node's immediate and a _FAIL node's error message.
-_BINARY, _IMMEDIATE, _VALUE, _READ_PHI, _UNARY, _FAIL = range(6)
+# node's immediate and a _FAIL node's error message. An _INPUT node is a
+# volatile Load, which reads the call's inputs once its operands ran.
+_BINARY, _IMMEDIATE, _VALUE, _INPUT, _READ_PHI, _UNARY, _FAIL = range(7)
+
+# Graph -> (version, decoded nodes, decoded blocks). Neither dict refers to
+# the graph, so an entry goes when its graph does.
+_DECODED: WeakKeyDictionary[FirmGraph, tuple[int, dict, dict]] = WeakKeyDictionary()
 
 
 @dataclass
@@ -84,7 +97,9 @@ def _successor(g: FirmGraph, xfer: int, kind: EdgeKind) -> tuple[int, int] | str
 
 
 class _Run:
-    """One execute call: decoded nodes and blocks, Phi values, step count."""
+    """One execute call: its inputs, Phi values and step count, over the
+    graph's decoded nodes and blocks, which it shares with every call at
+    the same graph version."""
 
     __slots__ = ("g", "inputs", "max_steps", "steps", "nodes", "blocks", "phi_values")
 
@@ -93,8 +108,10 @@ class _Run:
         self.inputs = inputs
         self.max_steps = max_steps
         self.steps = 0
-        self.nodes: dict[int, tuple] = {}
-        self.blocks: dict[int, tuple] = {}
+        decoded = _DECODED.get(g)
+        if decoded is None or decoded[0] != g.version:
+            decoded = _DECODED[g] = (g.version, {}, {})
+        _, self.nodes, self.blocks = decoded
         self.phi_values: dict[int, int | _Trap] = {}
 
     def decode(self, nid: int) -> tuple:
@@ -116,11 +133,9 @@ class _Run:
         if op is _NOT:
             return _UNARY, apply_not, operands, None
         if op is _LOAD:
-            if not node.volatile:
-                return _VALUE, None, operands, 0
-            if nid in self.inputs:
-                return _VALUE, None, operands, self.inputs[nid]
-            return _FAIL, None, operands, f"no input value for volatile Load {nid}"
+            if node.volatile:
+                return _INPUT, None, operands, None
+            return _VALUE, None, operands, 0
         return _FAIL, None, operands, f"{node.kind.value} node {nid} does not produce a value"
 
     def decode_block(self, block: int) -> tuple:
@@ -159,7 +174,7 @@ class _Run:
 
     def value(self, root: int, memo: dict[int, int]) -> int:
         """Evaluate root within one block entry, whose values memo holds."""
-        nodes, phi_values, limit = self.nodes, self.phi_values, self.max_steps
+        nodes, phi_values, limit, inputs = self.nodes, self.phi_values, self.max_steps, self.inputs
         stack = [root]
         # The nodes whose operands are running, on the stack above them.
         onstack: set[int] = set()
@@ -194,6 +209,10 @@ class _Run:
                     raise _Trap(TRAP_DIV_BY_ZERO)
             elif tag == _VALUE:
                 v = extra
+            elif tag == _INPUT:
+                v = inputs.get(nid)
+                if v is None:
+                    raise InterpreterError(f"no input value for volatile Load {nid}")
             elif tag == _IMMEDIATE:
                 v = fn(memo[operands[0]], extra)
                 if v is None:

@@ -14,6 +14,12 @@ the Block containing it, or is None once that Block is deleted, and the
 graph keeps one member set per Block. edge_count still counts each
 membership as one edge, the containment edge of the Firm model.
 
+Node and Edge fields change only through FirmGraph's mutators, and every
+mutator bumps FirmGraph.version, so a reader that keeps something derived
+from a graph (the interpreter keeps its decoded program) can tell whether
+the graph has changed since. tests/test_mutation_interface.py fails on a
+field write anywhere else in the package.
+
 Deletion is one linear pass, delete_nodes, which filters each surviving
 neighbour's incidence list once. The sweep of dead code, delete_unused,
 marks what live nodes read and ends in one such pass.
@@ -286,6 +292,20 @@ class Edge:
         return f"<{self.src} -{self.kind.value}{pos}-> {self.dst}>"
 
 
+def _check_value(kind: NodeKind, value: int | None) -> None:
+    """Raise GraphError unless value is a legal value attribute for kind."""
+    if value is not None and kind not in VALUE_KINDS:
+        raise GraphError(f"{kind.value} cannot carry a value attribute")
+    if value is None and kind in VALUE_KINDS:
+        raise GraphError(f"{kind.value} requires a value attribute")
+    # Only what the JSON format can carry back: a bool is an int to
+    # isinstance, but saves as true/false.
+    if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+        raise GraphError(f"value must be an integer, got {value!r}")
+    if value is not None and not (INT_MIN <= value <= INT_MAX):
+        raise GraphError(f"value {value} outside 32-bit signed range")
+
+
 def _by_position(edges: list[Edge]) -> list[Edge]:
     """Sort edges by (position, dst) in place, stably, and return them. Most
     lists hold one or two edges: two are compared without a keyed sort."""
@@ -301,12 +321,15 @@ def _by_position(edges: list[Edge]) -> list[Edge]:
 class FirmGraph:
     """One function's worth of IR.
 
-    Mutators keep the incidence lists and the block memberships
-    consistent; there is no way to leave a dangling edge or membership
-    through the public interface; delete_nodes is the one routine that
-    removes nodes. Verification is a separate read-only concern (see
-    verifier.py), so structurally odd but representable graphs are allowed
-    here.
+    Node and Edge fields change only through the mutators below, never by
+    a direct write. Each mutator bumps version, so two reads of version
+    that agree bracket no change to the nodes and edges; start_block and
+    end_block are plain attributes outside that promise. Mutators keep
+    the incidence lists and the block memberships consistent; there is no
+    way to leave a dangling edge or membership through the public
+    interface; delete_nodes is the one routine that removes nodes.
+    Verification is a separate read-only concern (see verifier.py), so
+    structurally odd but representable graphs are allowed here.
     """
 
     def __init__(self) -> None:
@@ -316,6 +339,8 @@ class FirmGraph:
         # Block id -> ids of the nodes whose block field names it.
         self._members: dict[int, set[int]] = {}
         self._next_id = 0
+        # Bumped by every mutator; a new or copied graph starts at 0.
+        self.version = 0
         self.start_block: int | None = None
         self.end_block: int | None = None
 
@@ -378,10 +403,7 @@ class FirmGraph:
         Non-Block nodes must name their containing block and become its
         members as part of this call. Blocks take no attributes at all.
         """
-        if value is not None and kind not in VALUE_KINDS:
-            raise GraphError(f"{kind.value} cannot carry a value attribute")
-        if value is None and kind in VALUE_KINDS:
-            raise GraphError(f"{kind.value} requires a value attribute")
+        _check_value(kind, value)
         if relation is not None and kind not in RELATION_KINDS:
             raise GraphError(f"{kind.value} cannot carry a relation attribute")
         if relation is None and kind in RELATION_KINDS:
@@ -390,14 +412,8 @@ class FirmGraph:
             raise GraphError(f"{kind.value} cannot carry a volatile attribute")
         if volatile is None and kind in MEMORY_KINDS:
             volatile = False
-        # Only what the JSON format can carry back: a bool is an int to
-        # isinstance, but saves as true/false.
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            raise GraphError(f"value must be an integer, got {value!r}")
         if volatile is not None and not isinstance(volatile, bool):
             raise GraphError(f"volatile must be a boolean, got {volatile!r}")
-        if value is not None and not (INT_MIN <= value <= INT_MAX):
-            raise GraphError(f"value {value} outside 32-bit signed range")
 
         if block is not None:
             self._check_home(kind, block)
@@ -406,6 +422,7 @@ class FirmGraph:
 
         nid = self._next_id
         self._next_id += 1
+        self.version += 1
         self._nodes[nid] = Node(kind, value, relation, volatile)
         self._out[nid] = []
         self._in[nid] = []
@@ -449,6 +466,7 @@ class FirmGraph:
                 f"not at a {src_node.kind.value}"
             )
         edge = Edge(src, dst, kind, position)
+        self.version += 1
         self._out[src].append(edge)
         self._in[dst].append(edge)
         return edge
@@ -465,6 +483,7 @@ class FirmGraph:
         self._check_home(node.kind, block)
         if node.block is not None:
             raise GraphError(f"node {nid} is already in block {node.block}")
+        self.version += 1
         self._join(nid, block)
 
     def _check_home(self, kind: NodeKind, block: int) -> None:
@@ -485,6 +504,7 @@ class FirmGraph:
             raise GraphError(f"containing block {to} is not a Block")
         if frm == to:
             raise GraphError("move_members needs two distinct blocks")
+        self.version += 1
         moved = self._members.pop(frm, ())
         for m in moved:
             self._nodes[m].block = to
@@ -496,6 +516,7 @@ class FirmGraph:
             self._in[edge.dst].remove(edge)
         except (KeyError, ValueError):
             raise GraphError(f"edge {edge!r} is not in the graph") from None
+        self.version += 1
 
     def delete_node(self, nid: int) -> None:
         """Remove a node and every incident edge; a deleted Block's members
@@ -521,6 +542,7 @@ class FirmGraph:
             if node.kind is _START or node.kind is _END:
                 raise GraphError(f"refusing to delete the {node.kind.value} node")
             doomed.add(nid)
+        self.version += 1
         out, inc, members = self._out, self._in, self._members
         in_lists, out_lists = set(), set()
         for nid in doomed:
@@ -573,6 +595,7 @@ class FirmGraph:
         node = self.node(nid)
         if node.kind in ANCHOR_KINDS or new_kind in ANCHOR_KINDS:
             raise GraphError(f"cannot retype {node.kind.value} to {new_kind.value}")
+        self.version += 1
         node.kind = new_kind
         if new_kind not in VALUE_KINDS:
             node.value = None
@@ -592,7 +615,25 @@ class FirmGraph:
             )
         if edge not in self._out.get(edge.src, ()):
             raise GraphError(f"edge {edge!r} is not in the graph")
+        self.version += 1
         edge.kind = new_kind
+
+    def set_position(self, edge: Edge, position: int) -> None:
+        """Move an edge to another operand or predecessor position, checked
+        as add_edge checks one."""
+        if position is None or position < 0:
+            raise GraphError(f"{edge.kind.value} edge needs a position >= 0")
+        if edge not in self._out.get(edge.src, ()):
+            raise GraphError(f"edge {edge!r} is not in the graph")
+        self.version += 1
+        edge.position = position
+
+    def set_value(self, nid: int, value: int) -> None:
+        """Replace a node's value attribute, checked as add_node checks one."""
+        node = self.node(nid)
+        _check_value(node.kind, value)
+        self.version += 1
+        node.value = value
 
     def retarget_edge(self, edge: Edge, new_dst: int) -> None:
         """Point an existing edge at a different destination node."""
@@ -601,6 +642,7 @@ class FirmGraph:
             self._in[edge.dst].remove(edge)
         except (KeyError, ValueError):
             raise GraphError(f"edge {edge!r} is not in the graph") from None
+        self.version += 1
         edge.dst = new_dst
         self._in[new_dst].append(edge)
 
@@ -613,6 +655,7 @@ class FirmGraph:
         self.node(to)
         if frm == to:
             raise GraphError("redirect_users needs two distinct nodes")
+        self.version += 1
         moved, kept = [], []
         for e in self._in[frm]:
             (moved if e.kind is _DATAFLOW else kept).append(e)

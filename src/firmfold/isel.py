@@ -48,10 +48,10 @@ def select_immediate(g: FirmGraph, nid: int) -> bool:
         if node.kind not in COMMUTATIVE_KINDS or g.node(x_edge.dst).kind is not _CONST:
             return False
         x_edge, const_edge = const_edge, x_edge
-        x_edge.position = 0
+        g.set_position(x_edge, 0)
     value = g.node(const_edge.dst).value
     g.retype_node(nid, target_kind)
-    g.node(nid).value = value
+    g.set_value(nid, value)
     g.delete_edge(const_edge)
     return True
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from firmfold.ir import EdgeKind, FirmGraph, NodeKind, Relation
 from firmfold.graphio import GenSpec, generate, spec_for_nodes
@@ -268,12 +269,88 @@ BRANCHY_SPEC = GenSpec(
 )
 
 
-def golden_corpus():
-    """Criterion 4's 500 seeded graphs, then three of the benchmark's branchy shape."""
-    for seed in range(500):
-        yield generate(seed, sized_gen_spec(random.Random(900_000 + seed)))
-    for seed in (1, 2, 3):
-        yield generate(seed, BRANCHY_SPEC)
+def golden_corpus(stride: int = 1):
+    """Criterion 4's 500 seeded graphs, then three of the benchmark's branchy
+    shape; with a stride k, every k-th graph of those 503, from the first."""
+    shapes = [(seed, None) for seed in range(500)] + [(seed, BRANCHY_SPEC) for seed in (1, 2, 3)]
+    for seed, spec in shapes[::stride]:
+        yield generate(seed, spec or sized_gen_spec(random.Random(900_000 + seed)))
+
+
+# -- mutated payloads, for the loader and CLI fuzz tests ---------------------
+
+# Values that mutated fields take: wrong types, dangling and negative ids,
+# and names, valid or not, of node kinds, edge kinds and relations.
+_ODD_VALUES = (True, False, 0, 1, -1, 3, 1.5, 2.0, "3", None, [], {}, 999, -7, 10**12)
+_NAMES = (
+    "Blk", "Add", "Block", "Const", "Cmp", "Load", "Less", "Sideways",
+    "Dataflow", "Controlflow", "True", "False", "BlockEdge", "Wire",
+)
+_ITEM_KEYS = {
+    "nodes": ("id", "kind", "value", "relation", "volatile", "block", "color"),
+    "edges": ("src", "dst", "kind", "position", "color"),
+}
+# Field-level mutations come up more often: each item has many fields.
+_MUTATIONS = ("set_key",) * 4 + ("set_kind", "set_ref") * 2 + (
+    "drop_key", "duplicate_id", "block_edge", "containment_on_block",
+    "not_an_object", "anchor", "top_level",
+)
+
+
+def _pick(payload, data):
+    """("nodes" or "edges", an index into it), or (None, None) if both are empty."""
+    arrays = [a for a in ("nodes", "edges") if isinstance(payload.get(a), list) and payload[a]]
+    if not arrays:
+        return None, None
+    array = data.draw(st.sampled_from(arrays))
+    return array, data.draw(st.integers(0, len(payload[array]) - 1))
+
+
+def _node_ids(payload):
+    nodes = payload.get("nodes")
+    ids = [n.get("id") for n in nodes if isinstance(n, dict)] if isinstance(nodes, list) else []
+    return [nid for nid in ids if type(nid) is int] or [0]
+
+
+def mutate_payload(payload, data):
+    """Mutate a graph payload in place with one of _MUTATIONS, drawn from data."""
+    op = data.draw(st.sampled_from(_MUTATIONS))
+    array, index = _pick(payload, data)
+    item = None if array is None else payload[array][index]
+    ids = _node_ids(payload)
+    if op == "drop_key" and isinstance(item, dict) and item:
+        del item[data.draw(st.sampled_from(sorted(item)))]
+    elif op == "set_key" and isinstance(item, dict):
+        key = data.draw(st.sampled_from(_ITEM_KEYS[array]))
+        item[key] = data.draw(st.sampled_from(_ODD_VALUES + _NAMES))
+    elif op == "set_kind" and isinstance(item, dict):
+        item["kind"] = data.draw(st.sampled_from(_NAMES))
+    elif op == "set_ref" and isinstance(item, dict):
+        key = data.draw(st.sampled_from(("block", "src", "dst", "position")))
+        item[key] = data.draw(st.sampled_from(ids))
+    elif op == "duplicate_id" and isinstance(item, dict):
+        item["id"] = data.draw(st.sampled_from(ids))
+    elif op == "block_edge" and isinstance(payload.get("edges"), list):
+        src, dst = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+        payload["edges"].append({"src": src, "dst": dst, "kind": "BlockEdge"})
+    elif op == "containment_on_block" and isinstance(payload.get("nodes"), list):
+        for node in payload["nodes"]:
+            if isinstance(node, dict) and node.get("kind") == "Block":
+                node["block"] = data.draw(st.sampled_from(ids))
+                break
+    elif op == "not_an_object" and array is not None:
+        payload[array][index] = data.draw(st.sampled_from((7, "x", None, [], True)))
+    elif op == "anchor":
+        key = data.draw(st.sampled_from(("start", "end")))
+        payload[key] = data.draw(st.sampled_from(_ODD_VALUES + tuple(ids)))
+    elif op == "top_level":
+        choice = data.draw(st.integers(0, 2))
+        if choice == 0:
+            payload.pop(data.draw(st.sampled_from(("nodes", "edges", "start", "end"))), None)
+        elif choice == 1:
+            payload["extra"] = 1
+        else:
+            payload[data.draw(st.sampled_from(("nodes", "edges")))] = {}
 
 
 # -- broken graphs, one per verifier rule -----------------------------------

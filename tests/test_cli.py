@@ -1,13 +1,24 @@
 """Command-line behavior: exit codes, outputs, and the seed override."""
 
+import contextlib
+import io
 import json
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import build_diamond, build_div_graph, build_jmp_chain, finish_return, func_graph
+from conftest import (
+    build_diamond,
+    build_div_graph,
+    build_jmp_chain,
+    finish_return,
+    func_graph,
+    mutate_payload,
+)
 from firmfold.cli import main
-from firmfold.graphio import load, save
+from firmfold.graphio import GenSpec, generate, load, save, to_payload
 from firmfold.ir import EdgeKind, NodeKind, TARGET_KINDS
 from firmfold.isel import run_instruction_selection
 
@@ -307,6 +318,85 @@ def test_isel_on_lowered_graph_is_exit_3(tmp_path, capsys):
     save(g, src)
     assert main(["isel", str(src), "-o", str(tmp_path / "o.json")]) == 3
     assert "IR-only" in capsys.readouterr().err
+
+
+def test_gen_with_no_values_writes_a_graph(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    args = ["--blocks", "30", "--ops-per-block", "0", "--inputs", "0", "--loops", "0"]
+    assert main(["gen", "--seed", "10040", *args, "-o", str(path)]) == 0
+    assert main(["verify", str(path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _main_in_process(argv):
+    """(exit code, stderr) of main(argv), with its output captured."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+# Kinds that carry no attribute, so a node retyped among them still loads.
+_PLAIN_KINDS = (
+    "Add", "Sub", "Mul", "Div", "Mod", "And", "Or", "Xor", "Shl", "Shr", "Not",
+    "Phi", "Jmp", "Cond", "Return",
+)
+
+
+def _rewire(payload, data):
+    """A mutation that keeps the file loadable: drop, retarget or renumber
+    an edge, retype a node among _PLAIN_KINDS, or set a Const's value."""
+    nodes, edges = payload["nodes"], payload["edges"]
+    op = data.draw(st.sampled_from(("drop", "retarget", "reposition", "retype", "revalue")))
+    if op == "retype":
+        plain = [n for n in nodes if n["kind"] in _PLAIN_KINDS]
+        if plain:
+            data.draw(st.sampled_from(plain))["kind"] = data.draw(st.sampled_from(_PLAIN_KINDS))
+    elif op == "revalue":
+        consts = [n for n in nodes if n["kind"] == "Const"]
+        if consts:
+            value = data.draw(st.sampled_from((-(2**31), -1, 0, 1, 2**31 - 1)))
+            data.draw(st.sampled_from(consts))["value"] = value
+    elif edges:
+        i = data.draw(st.integers(0, len(edges) - 1))
+        if op == "drop":
+            del edges[i]
+        elif op == "retarget":
+            edges[i]["dst"] = data.draw(st.sampled_from([n["id"] for n in nodes]))
+        else:
+            edges[i]["position"] = data.draw(st.integers(0, 2))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_commands_on_mutated_payloads_keep_the_exit_code_contract(tmp_path_factory, data):
+    """verify, fold, run and exec on a mutated graph file exit 0, 1, 2 or 3,
+    with no traceback. An exception main lets out fails the test."""
+    seed = data.draw(st.integers(0, 40))
+    spec = GenSpec(blocks=5, ops_per_block=2, const_ratio=0.3, loop_count=1, input_count=2)
+    payload = to_payload(generate(seed, spec))
+    loads = [n["id"] for n in payload["nodes"] if n["kind"] == "Load"]
+    for _ in range(data.draw(st.integers(0, 3))):
+        _rewire(payload, data)
+    # A schema-level mutation last, since _rewire needs a well-formed file.
+    if data.draw(st.booleans()):
+        mutate_payload(payload, data)
+    work = tmp_path_factory.mktemp("fuzz")
+    src, out = work / "in.json", work / "out.json"
+    src.write_text(json.dumps(payload), encoding="utf-8")
+    inputs = ",".join(f"{nid}={data.draw(st.integers(-(2**31), 2**31 - 1))}" for nid in loads)
+    for argv in (
+        ["verify", str(src)],
+        ["fold", str(src), "-o", str(out)],
+        ["run", "--passes", "fold,isel", str(src), "-o", str(out)],
+        ["exec", str(src), "--inputs", inputs, "--max-steps", "5000"],
+    ):
+        code, err = _main_in_process(argv)
+        assert code in (0, 1, 2, 3), (argv[0], code, err)
+        assert "Traceback" not in err, (argv[0], err)
 
 
 def test_gen_rejects_impossible_shapes(tmp_path, capsys):

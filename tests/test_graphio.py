@@ -14,6 +14,7 @@ from conftest import (
     build_diamond,
     func_graph,
     golden_corpus,
+    mutate_payload,
 )
 from firmfold.cfgfold import optimize
 from firmfold.errors import FormatError
@@ -197,6 +198,14 @@ def test_generated_graphs_verify_clean(spec):
         assert verify(g) == []
 
 
+def test_graphs_with_no_values_before_a_diamond_verify_clean():
+    # No inputs and no ops: a diamond's arms have no earlier value, and
+    # their Phis read Consts.
+    spec = GenSpec(blocks=8, ops_per_block=0, loop_count=0, input_count=0)
+    for seed in range(20):
+        assert verify(generate(seed, spec)) == []
+
+
 def test_generated_graphs_have_no_div_or_mod():
     for seed in range(10):
         g = generate(seed)
@@ -282,79 +291,6 @@ def test_big_graph_saves_and_loads_fast(tmp_path, big_graph):
 
 # -- the one-pass loader and the template writer against the reference -------
 
-# Values that mutated fields take: wrong types, dangling and negative ids,
-# and names, valid or not, of node kinds, edge kinds and relations.
-_ODD_VALUES = (True, False, 0, 1, -1, 3, 1.5, 2.0, "3", None, [], {}, 999, -7, 10**12)
-_NAMES = (
-    "Blk", "Add", "Block", "Const", "Cmp", "Load", "Less", "Sideways",
-    "Dataflow", "Controlflow", "True", "False", "BlockEdge", "Wire",
-)
-_ITEM_KEYS = {
-    "nodes": ("id", "kind", "value", "relation", "volatile", "block", "color"),
-    "edges": ("src", "dst", "kind", "position", "color"),
-}
-# Field-level mutations come up more often: each item has many fields.
-_MUTATIONS = ("set_key",) * 4 + ("set_kind", "set_ref") * 2 + (
-    "drop_key", "duplicate_id", "block_edge", "containment_on_block",
-    "not_an_object", "anchor", "top_level",
-)
-
-
-def _pick(payload, data):
-    """("nodes" or "edges", an index into it), or (None, None) if both are empty."""
-    arrays = [a for a in ("nodes", "edges") if isinstance(payload.get(a), list) and payload[a]]
-    if not arrays:
-        return None, None
-    array = data.draw(st.sampled_from(arrays))
-    return array, data.draw(st.integers(0, len(payload[array]) - 1))
-
-
-def _node_ids(payload):
-    nodes = payload.get("nodes")
-    ids = [n.get("id") for n in nodes if isinstance(n, dict)] if isinstance(nodes, list) else []
-    return [nid for nid in ids if type(nid) is int] or [0]
-
-
-def _mutate(payload, data):
-    op = data.draw(st.sampled_from(_MUTATIONS))
-    array, index = _pick(payload, data)
-    item = None if array is None else payload[array][index]
-    ids = _node_ids(payload)
-    if op == "drop_key" and isinstance(item, dict) and item:
-        del item[data.draw(st.sampled_from(sorted(item)))]
-    elif op == "set_key" and isinstance(item, dict):
-        key = data.draw(st.sampled_from(_ITEM_KEYS[array]))
-        item[key] = data.draw(st.sampled_from(_ODD_VALUES + _NAMES))
-    elif op == "set_kind" and isinstance(item, dict):
-        item["kind"] = data.draw(st.sampled_from(_NAMES))
-    elif op == "set_ref" and isinstance(item, dict):
-        key = data.draw(st.sampled_from(("block", "src", "dst", "position")))
-        item[key] = data.draw(st.sampled_from(ids))
-    elif op == "duplicate_id" and isinstance(item, dict):
-        item["id"] = data.draw(st.sampled_from(ids))
-    elif op == "block_edge" and isinstance(payload.get("edges"), list):
-        src, dst = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
-        payload["edges"].append({"src": src, "dst": dst, "kind": "BlockEdge"})
-    elif op == "containment_on_block" and isinstance(payload.get("nodes"), list):
-        for node in payload["nodes"]:
-            if isinstance(node, dict) and node.get("kind") == "Block":
-                node["block"] = data.draw(st.sampled_from(ids))
-                break
-    elif op == "not_an_object" and array is not None:
-        payload[array][index] = data.draw(st.sampled_from((7, "x", None, [], True)))
-    elif op == "anchor":
-        key = data.draw(st.sampled_from(("start", "end")))
-        payload[key] = data.draw(st.sampled_from(_ODD_VALUES + tuple(ids)))
-    elif op == "top_level":
-        choice = data.draw(st.integers(0, 2))
-        if choice == 0:
-            payload.pop(data.draw(st.sampled_from(("nodes", "edges", "start", "end"))), None)
-        elif choice == 1:
-            payload["extra"] = 1
-        else:
-            payload[data.draw(st.sampled_from(("nodes", "edges")))] = {}
-
-
 def _tables(g):
     """Node order and attributes, each incidence list in order, and the counters."""
     nodes = [(nid, n.kind, n.value, n.relation, n.volatile, n.block) for nid, n in g.items()]
@@ -376,7 +312,7 @@ def test_loader_matches_the_reference_on_mutated_payloads(data):
         if data.draw(st.booleans()):
             payload[array] = data.draw(st.permutations(payload[array]))
     for _ in range(data.draw(st.integers(0, 3))):
-        _mutate(payload, data)
+        mutate_payload(payload, data)
     outcomes = []
     for load in (reference.from_payload, from_payload):
         try:

@@ -257,7 +257,7 @@ def test_every_binary_form_runs_the_ir_semantics(name, relation):
             want = apply_binary(ir_kind, a, b, relation)
             assert execute(plain, dict(zip(loads_p, (a, b)))).value == want, (a, b)
             assert execute(target, dict(zip(loads_t, (a, b)))).value == want, (a, b)
-            imm.node(imm_op).value = b
+            imm.set_value(imm_op, b)
             assert execute(imm, {load_i: a}).value == want, (a, b)
 
 

@@ -288,6 +288,99 @@ def test_golden_corpus_runs_as_in_the_reference():
                 _assert_same(version, inputs)
 
 
+def _edits(g):
+    """Edit g through each public FirmGraph mutator in turn, yielding the
+    mutator's name after each edit, and None after setting up the next
+    edit, which changes no run. Each edit is one call, or two of the same
+    mutator, made so that it can change what a run returns or raises."""
+    ret = next(nid for nid, node in g.items() if OPS[node.kind].op is K.RETURN)
+    home = g.block_of(ret)
+    (ret_edge,) = g.operand_edges(ret)
+    a = g.add_node(K.CONST, value=5, block=home)
+    b = g.add_node(K.CONST, value=3, block=home)
+    sub = g.add_node(K.SUB, block=home)
+    a_edge = g.add_edge(sub, a, DF, 0)
+    b_edge = g.add_edge(sub, b, DF, 1)
+    yield None
+    extra = g.add_edge(ret, sub, DF, 1)
+    yield "add_edge"  # a Return with two operands
+    g.delete_edge(extra)
+    yield "delete_edge"  # the graph's own result again
+    g.retarget_edge(ret_edge, sub)
+    yield "retarget_edge"  # 5 - 3
+    g.set_value(a, 9)
+    yield "set_value"  # 9 - 3
+    g.set_position(a_edge, 1)
+    g.set_position(b_edge, 0)
+    yield "set_position"  # 3 - 9
+    g.retype_node(sub, K.ADD)
+    yield "retype_node"  # 3 + 9
+    g.redirect_users(b, a)
+    yield "redirect_users"  # 9 + 9
+    entries = g.control_in_edges(home)
+    if entries:
+        entry = entries[0]
+        kind = entry.kind
+        g.retype_edge(entry, EdgeKind.TRUE if kind is CF else CF)
+        yield "retype_edge"  # the transfer into home loses its successor
+        g.retype_edge(entry, kind)
+        yield "retype_edge"
+    phi = g.add_node(K.PHI, block=home)
+    yield "add_node"  # a Phi with no operand for the entry into home
+    g.delete_unused()
+    yield "delete_unused"  # the Phi, never read, goes
+    spare = g.add_node(K.BLOCK)
+    orphan = g.add_node(K.RETURN, block=spare)
+    g.add_edge(orphan, sub, DF, 0)
+    g.delete_node(spare)
+    yield None
+    g.delete_node(ret)
+    yield "delete_node"  # home has no transfer
+    g.set_block(orphan, home)
+    yield "set_block"  # home returns 9 + 9 through the orphaned Return
+    g.delete_nodes([orphan, sub])
+    yield "delete_nodes"  # home has no transfer again
+    spare = g.add_node(K.BLOCK)
+    seven = g.add_node(K.CONST, value=7, block=spare)
+    g.add_edge(g.add_node(K.RETURN, block=spare), seven, DF, 0)
+    yield None
+    g.move_members(spare, home)
+    yield "move_members"  # home returns 7
+    assert phi not in g
+
+
+# Every public mutator of FirmGraph; tests/test_mutation_interface.py
+# checks that the list is complete.
+EDITED = frozenset(
+    {
+        "add_node", "add_edge", "set_block", "move_members", "delete_edge",
+        "delete_node", "delete_nodes", "delete_unused", "retype_node",
+        "retype_edge", "set_position", "set_value", "retarget_edge", "redirect_users",
+    }
+)
+
+
+def test_a_graph_edited_between_runs_runs_as_edited():
+    """execute keeps a graph's decoded nodes and blocks across calls until
+    a mutator changes the graph. On every third golden graph, as built,
+    optimized and lowered, three input vectors share one decode; then each
+    mutator edits the graph in turn, and the run after every edit must
+    match the reference, which decodes nothing."""
+    rng = random.Random(24)
+    changed = dict.fromkeys(EDITED, 0)
+    for g in golden_corpus(stride=3):
+        for version in _versions(g):
+            vectors = _vectors(g, rng)
+            for inputs in vectors:
+                before = _assert_same(version, inputs)
+            for mutator in _edits(version):
+                after = _assert_same(version, vectors[-1])
+                if mutator is not None:
+                    changed[mutator] += after != before
+                before = after
+    assert min(changed.values()) > 0, changed
+
+
 def _retyped(seed):
     """A wide seeded graph with every third Add, Sub, Mul, And and Xor
     retyped to Div or Mod."""
