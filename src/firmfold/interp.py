@@ -190,13 +190,17 @@ class _Run:
             if nid in onstack:
                 onstack.discard(nid)
             elif operands:
-                missing = [o for o in operands if o not in memo]
-                if missing:
-                    onstack.add(nid)
-                    for o in reversed(missing):
-                        if o in onstack:
+                # Push the operands not yet computed, the first on top. A
+                # loop, not a comprehension, which is a call per node on
+                # Python 3.11.
+                top = len(stack)
+                for o in reversed(operands):
+                    if o not in memo:
+                        if o == nid or o in onstack:
                             raise InterpreterError(f"dataflow cycle through node {o}")
                         stack.append(o)
+                if len(stack) > top:
+                    onstack.add(nid)
                     continue
             elif tag == _READ_PHI and nid not in phi_values:
                 raise InterpreterError(f"Phi {nid} read before any predecessor assigned it")

@@ -269,6 +269,17 @@ BRANCHY_SPEC = GenSpec(
 )
 
 
+# The public FirmGraph methods that change a graph, each of which bumps its
+# version; tests/test_mutation_interface.py checks that the set is complete.
+MUTATORS = frozenset(
+    {
+        "add_node", "add_edge", "set_block", "move_members", "delete_edge",
+        "delete_node", "delete_nodes", "delete_unused", "retype_node",
+        "retype_edge", "set_position", "set_value", "retarget_edge", "redirect_users",
+    }
+)
+
+
 def golden_corpus(stride: int = 1):
     """Criterion 4's 500 seeded graphs, then three of the benchmark's branchy
     shape; with a stride k, every k-th graph of those 503, from the first."""

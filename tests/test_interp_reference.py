@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     CF,
     DF,
+    MUTATORS,
     broken_graphs,
     build_counting_loop,
     build_diamond,
@@ -349,17 +350,6 @@ def _edits(g):
     assert phi not in g
 
 
-# Every public mutator of FirmGraph; tests/test_mutation_interface.py
-# checks that the list is complete.
-EDITED = frozenset(
-    {
-        "add_node", "add_edge", "set_block", "move_members", "delete_edge",
-        "delete_node", "delete_nodes", "delete_unused", "retype_node",
-        "retype_edge", "set_position", "set_value", "retarget_edge", "redirect_users",
-    }
-)
-
-
 def test_a_graph_edited_between_runs_runs_as_edited():
     """execute keeps a graph's decoded nodes and blocks across calls until
     a mutator changes the graph. On every third golden graph, as built,
@@ -367,7 +357,7 @@ def test_a_graph_edited_between_runs_runs_as_edited():
     mutator edits the graph in turn, and the run after every edit must
     match the reference, which decodes nothing."""
     rng = random.Random(24)
-    changed = dict.fromkeys(EDITED, 0)
+    changed = dict.fromkeys(MUTATORS, 0)
     for g in golden_corpus(stride=3):
         for version in _versions(g):
             vectors = _vectors(g, rng)
