@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 
 import pytest
@@ -397,6 +398,76 @@ def test_commands_on_mutated_payloads_keep_the_exit_code_contract(tmp_path_facto
         code, err = _main_in_process(argv)
         assert code in (0, 1, 2, 3), (argv[0], code, err)
         assert "Traceback" not in err, (argv[0], err)
+
+
+def test_run_can_write_to_the_null_device(tmp_path):
+    src = _gen(tmp_path)
+    code, err = _main_in_process(["run", "--passes", "fold,isel", str(src), "-o", os.devnull])
+    assert code == 0, err
+
+
+# Odd parts of exec's arguments: negative, huge and non-numeric ids and
+# values, repeated keys, empty pairs and pairs with no "=".
+_NUMBERS = st.one_of(
+    st.integers(-(2**31), 2**31 - 1),
+    st.integers(-(10**30), 10**30),
+    st.sampled_from((2**31, -(2**31) - 1)),
+)
+_WORDS = st.text(alphabet="0123456789-+=_ xa.,", max_size=5)
+
+
+@st.composite
+def _inputs_texts(draw, loads):
+    """A value for every Load, then up to three edits: a value or a whole
+    pair replaced by an odd one, an odd pair added, or a pair repeated."""
+    ids = st.one_of(st.sampled_from(loads).map(str), _NUMBERS.map(str), _WORDS)
+    values = st.one_of(_NUMBERS.map(str), _WORDS)
+    odd = st.one_of(st.tuples(ids, values).map("=".join), st.just(""), ids, st.just("="))
+    pairs = [f"{nid}={draw(st.integers(-(2**31), 2**31 - 1))}" for nid in loads]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("value", "replace", "add", "repeat")))
+        if edit == "add" or not pairs:
+            pairs.insert(draw(st.integers(0, len(pairs))), draw(odd))
+        elif edit == "value":
+            i = draw(st.integers(0, len(pairs) - 1))
+            pairs[i] = pairs[i].partition("=")[0] + "=" + draw(values)
+        elif edit == "replace":
+            pairs[draw(st.integers(0, len(pairs) - 1))] = draw(odd)
+        else:
+            pairs.append(draw(st.sampled_from(pairs)))
+    return ",".join(pairs)
+
+
+_MAX_STEPS = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.integers(10**9, 10**30).map(str),
+    st.integers(-(10**30), -1).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(str),
+    _WORDS,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exec_arguments_keep_the_exit_code_contract(tmp_path_factory, data):
+    """exec with generated --inputs and --max-steps texts exits 0, 1, 2 or 3
+    with no exception let out, and every failing exit prints an error line."""
+    seed = data.draw(st.integers(0, 5))
+    work = tmp_path_factory.mktemp("exec_args")
+    path = work / "g.json"
+    spec = GenSpec(blocks=6, ops_per_block=2, const_ratio=0.3, loop_count=1, input_count=2)
+    g = generate(seed, spec)
+    save(g, path)
+    loads = sorted(nid for nid, node in g.items() if node.kind is NodeKind.LOAD and node.volatile)
+    argv = ["exec", str(path)]
+    if data.draw(st.booleans()):
+        argv.append("--inputs=" + data.draw(_inputs_texts(loads)))
+    if data.draw(st.booleans()):
+        argv.append("--max-steps=" + data.draw(_MAX_STEPS))
+    code, err = _main_in_process(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code != 0:
+        assert any("error: " in line for line in err.splitlines()), (argv, err)
 
 
 def test_gen_rejects_impossible_shapes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """JSON round-trips, schema diagnostics, DOT output, and the generator."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,33 @@ def test_save_and_load_paths(tmp_path):
     save(g, path)
     assert load(path).signature() == g.signature()
     assert load(str(path)).signature() == g.signature()
+
+
+# -- what saving over an existing file leaves ---------------------------------
+
+
+def test_saving_over_a_longer_file_leaves_exactly_the_graph(tmp_path):
+    g, _ = build_add_graph()
+    path = tmp_path / "g.json"
+    path.write_bytes(b"x" * (10 * len(to_json(g).encode("utf-8"))))
+    save(g, path)
+    assert path.read_bytes() == to_json(g).encode("utf-8")
+
+
+def test_saving_keeps_the_file_so_a_hard_link_sees_the_new_graph(tmp_path):
+    old, _ = build_add_graph(1, 2)
+    new, _ = build_diamond(cond_const=0)
+    path, link = tmp_path / "g.json", tmp_path / "link.json"
+    save(old, path)
+    os.link(path, link)
+    save(new, path)
+    assert path.stat().st_ino == link.stat().st_ino
+    assert link.read_bytes() == to_json(new).encode("utf-8")
+
+
+def test_saving_to_the_null_device_succeeds():
+    g, _ = build_add_graph()
+    save(g, os.devnull)
 
 
 def test_dot_golden_pre_and_post_optimize():
