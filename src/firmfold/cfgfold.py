@@ -22,6 +22,18 @@ successor directly, and fold_redundant_cond turns a Cond whose two edges
 enter one block without Phis into a Jmp, unless its operand can trap
 (trapping_nodes, computed once per sweep). Both run after merging, so the
 rules whose rewrites give them matches run before them in the same round.
+
+delete_dead_loop is LLVM's loop deletion for counted loops whose results
+nothing reads. It matches a header whose Cond enters a one-block body and
+an exit, entered from one preheader, where every node is pure and cannot
+trap, reads nothing from outside but Consts, and is read from outside
+only if it is a Const. A simulation runs the exit test from the header
+Phis' initial Consts with arith's functions, all Phis updated at once as
+in the interpreter, for at most MAX_LOOP_TRIPS trips (100, LLVM's
+brute-force bound in ScalarEvolution); a loop that has not left by then,
+an infinite one included, stays. The rewrite lets the preheader enter the
+exit and deletes the loop. Only steps go, so a step-limit trap that fell
+inside the loop gives way to the program's later verdict.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
+from .arith import BINARY, COMPARE, apply_not
 from .constfold import fold_dataflow_fixpoint
 from .errors import ContractError, GraphError, NoBlockError, PassOutputError, VerificationError
 from .ir import (
@@ -38,6 +51,7 @@ from .ir import (
     Edge,
     EdgeKind,
     FirmGraph,
+    PURE_KINDS,
     NodeKind,
 )
 from .verifier import verify
@@ -47,11 +61,21 @@ from . import constfold
 _BLOCK, _JMP, _COND, _PHI, _CONST = (
     NodeKind.BLOCK, NodeKind.JMP, NodeKind.COND, NodeKind.PHI, NodeKind.CONST
 )
-_DIV, _MOD = NodeKind.DIV, NodeKind.MOD
+_DIV, _MOD, _NOT, _CMP = NodeKind.DIV, NodeKind.MOD, NodeKind.NOT, NodeKind.CMP
 _DATAFLOW, _CONTROLFLOW = EdgeKind.DATAFLOW, EdgeKind.CONTROLFLOW
 _TRUE, _FALSE = EdgeKind.TRUE, EdgeKind.FALSE
+_BRANCH_KINDS = frozenset({_TRUE, _FALSE})
+# The transfer a control edge of each kind ends at, under plain control.
+_TRANSFER_OF = {_CONTROLFLOW: _JMP, _TRUE: _COND, _FALSE: _COND}
 # The kind sets the cleanup sweeps visit.
 _CONDS, _BLOCKS, _PHIS = frozenset({_COND}), frozenset({_BLOCK}), frozenset({_PHI})
+# The value kinds delete_dead_loop deletes: pure, and unable to trap or to
+# read memory. Phis are the header's own case.
+_LOOP_KINDS = PURE_KINDS - {_PHI, _DIV, _MOD, NodeKind.LOAD}
+# The most trips delete_dead_loop simulates: LLVM's default for
+# MaxBruteForceIterations, ScalarEvolution's bound on evaluating an exit
+# condition trip by trip.
+MAX_LOOP_TRIPS = 100
 
 
 def fold_cond(g: FirmGraph, nid: int) -> bool:
@@ -310,6 +334,213 @@ def bypass_empty_block(g: FirmGraph, nid: int) -> bool:
     return True
 
 
+def delete_dead_loop(g: FirmGraph, nid: int) -> bool:
+    """Delete a loop that nothing outside it reads and that a simulation
+    shows to leave within MAX_LOOP_TRIPS trips.
+
+    The match, for the Cond nid: its block is the header H, neither the
+    start nor the end block. One of the Cond's edges enters a one-block
+    body B, whose Jmp enters H; the other enters the exit X. H has just two
+    control predecessors, B's Jmp and a transfer T in a preheader P, a Jmp
+    or a Cond by one edge, and B has just the Cond's edge. X is none of H,
+    B and P. Every member of H and B is one of the two transfers, a Phi of
+    H or a node of _LOOP_KINDS. No node outside H and B reads one but a
+    Const, and every operand they read from outside is a Const. Each
+    header Phi's operand at P's position is a Const too, and _trip_count,
+    starting the Phis from those Consts, finds the exit within
+    MAX_LOOP_TRIPS trips.
+
+    The rewrite: X's edge from the Cond moves onto T and takes the kind of
+    H's edge from T, as in bypass_empty_block; it keeps its position, so
+    X's Phis read what they read before. One delete_nodes call takes H, B,
+    their members except the Consts read from outside, which move to P,
+    and the Consts outside that only the loop read, so the unused sweep
+    has nothing left to do. Such a loop computes nothing observable and
+    cannot trap, so only its steps go: a step-limit trap that fell inside
+    it gives way to the program's later verdict, as with any rewrite that
+    removes work.
+    """
+    nodes, ins, outs = g._nodes, g._in, g._out
+    node = nodes.get(nid)
+    if node is None or node.kind is not _COND:
+        return False
+    header = node.block
+    if header is None or header == g.start_block or header == g.end_block:
+        return False
+    # The structural tests first: they turn away every other Cond cheaply.
+    preds, branches = outs[header], ins[nid]
+    if len(preds) != 2 or len(branches) != 2:
+        return False
+    for back, pre in (preds, preds[::-1]):
+        body = nodes[back.dst].block
+        into, out = branches if branches[0].src == body else branches[::-1]
+        if into.src == body:
+            break
+    else:
+        return False
+    back_jmp, exit_block = back.dst, out.src
+    preheader = nodes[pre.dst].block
+    if (
+        back.kind is not _CONTROLFLOW
+        or nodes[back_jmp].kind is not _JMP
+        or nodes[pre.dst].kind is not _TRANSFER_OF.get(pre.kind)
+        or {into.kind, out.kind} != _BRANCH_KINDS
+        or body == header
+        or preheader is None
+        or preheader in (header, body)
+        or exit_block in (header, body, preheader)
+        or len(outs[body]) != 1
+        or len(ins[back_jmp]) != 1
+        or ins[header]
+        or ins[body]
+    ):
+        return False
+    members = g._members
+    loop = members.get(header, set()) | members.get(body, set())
+    phis, hoisted, read = [], [], set()
+    for m in loop:
+        kind = nodes[m].kind
+        if kind is _PHI:
+            if nodes[m].block != header:
+                return False
+            phis.append(m)
+        elif kind not in _LOOP_KINDS and m != nid and m != back_jmp:
+            return False
+        for e in ins[m]:
+            if e.kind is not _DATAFLOW:
+                if m != nid and m != back_jmp:
+                    return False
+            elif e.src not in loop:
+                if kind is not _CONST:
+                    return False
+                hoisted.append(m)
+                break
+        for e in outs[m]:
+            if e.dst not in loop:
+                if nodes[e.dst].kind is not _CONST:
+                    return False
+                read.add(e.dst)
+    phis.sort()
+    if _trip_count(g, nid, into.kind is _TRUE, phis, pre.position, back.position) is None:
+        return False
+    unread = [c for c in read if all(e.src in loop for e in ins[c])]
+    g.retarget_edge(out, pre.dst)
+    g.retype_edge(out, pre.kind)
+    g.delete_nodes((header, body, *loop.difference(hoisted), *unread))
+    for c in hoisted:
+        g.set_block(c, preheader)
+    return True
+
+
+def _trip_count(
+    g: FirmGraph, cond: int, stay_on: bool, phis: list[int], entry: int, back: int
+) -> int | None:
+    """How often a loop's body runs before cond sends control out of it, or
+    None past MAX_LOOP_TRIPS or when the loop cannot be simulated.
+
+    The loop is cond's header, whose Phis, phis, read their operand at
+    position entry on the first entry and at back on each later one, and
+    the body, which cond enters while its operand is nonzero if stay_on is
+    True, zero if it is False. Each operand at entry must be a Const.
+    cond's operand and the Phis' operands at back are computed from the
+    current Phi values, and every Phi takes its new value at once, as the
+    interpreter updates them.
+    """
+    nodes, outs = g._nodes, g._out
+    values: dict[int, int] = {}
+    state, roots = [], []
+    for phi in phis:
+        found: dict[int, int] = {}
+        # A value node's out-edges are its operand edges.
+        for e in outs[phi]:
+            if e.position in found:
+                return None
+            found[e.position] = e.dst
+        first = found.get(entry)
+        if first is None or back not in found or nodes[first].kind is not _CONST:
+            return None
+        state.append(nodes[first].value)
+        roots.append(found[back])
+    if len(outs[cond]) != 1:
+        return None
+    test = outs[cond][0].dst
+    order = _trip_order(g, [test, *roots], set(phis), values)
+    if order is None:
+        return None
+    for trips in range(MAX_LOOP_TRIPS + 1):
+        values.update(zip(phis, state))
+        for n, fn, a, b in order:
+            values[n] = fn(values[a]) if b is None else fn(values[a], values[b])
+        if (values[test] != 0) is not stay_on:
+            return trips
+        state = [values[r] for r in roots]
+    return None
+
+
+def _trip_order(
+    g: FirmGraph, roots: list[int], phis: set[int], values: dict[int, int]
+) -> list[tuple] | None:
+    """The nodes that computing roots computes, each after its operands, as
+    (node, function, operand, second operand or None) entries. The Phis of
+    phis and Consts are read, not computed; each Const's value goes into
+    values. None at a cycle through no Phi, at another Phi, or at a node
+    that cannot run as a node of _LOOP_KINDS with its kind's operands."""
+    nodes, outs = g._nodes, g._out
+    order: list[tuple] = []
+    # True while a node's operands are being listed, False once it is.
+    listed: dict[int, bool] = {}
+    operands: dict[int, list[int]] = {}
+    stack = roots[::-1]
+    while stack:
+        n = stack[-1]
+        s = listed.get(n)
+        if s is False:
+            stack.pop()
+            continue
+        node = nodes[n]
+        kind = node.kind
+        if s is None:
+            if kind is _CONST:
+                values[n] = node.value
+            elif kind is _PHI:
+                if n not in phis:
+                    return None
+            elif kind not in _LOOP_KINDS:
+                return None
+            else:
+                edges = outs[n]
+                if kind is _NOT:
+                    if len(edges) != 1 or edges[0].position != 0:
+                        return None
+                    ids = [edges[0].dst]
+                else:
+                    if len(edges) != 2:
+                        return None
+                    a, b = edges
+                    if a.position > b.position:
+                        a, b = b, a
+                    if a.position != 0 or b.position != 1:
+                        return None
+                    ids = [a.dst, b.dst]
+                operands[n] = ids
+                listed[n] = True
+                for o in reversed(ids):
+                    if listed.get(o):
+                        return None
+                    stack.append(o)
+                continue
+        elif kind is _NOT:
+            order.append((n, apply_not, operands[n][0], None))
+        else:
+            fn = COMPARE.get(node.relation) if kind is _CMP else BINARY[kind]
+            if fn is None:
+                return None
+            order.append((n, fn, *operands[n]))
+        listed[n] = False
+        stack.pop()
+    return order
+
+
 def _sweep(
     g: FirmGraph, rule: Callable[[FirmGraph, int], object], kinds: frozenset[NodeKind]
 ) -> bool:
@@ -342,6 +573,7 @@ _CLEANUP_STEPS: dict[str, Callable[[FirmGraph], bool]] = {
     "simplify": lambda g: _sweep(g, simplify_trivial_phi, _PHIS),
     "assoc": lambda g: _sweep(g, constfold.fold_assoc_comm, COMMUTATIVE_KINDS),
     "unused": lambda g: _exhaust_unused(g),
+    "loop": lambda g: _sweep(g, delete_dead_loop, _CONDS),
     "merge": lambda g: _sweep(g, merge_blocks, _BLOCKS),
     "bypass": lambda g: _sweep(g, bypass_empty_block, _BLOCKS),
     "redundant": lambda g: _sweep(
@@ -352,38 +584,52 @@ _CLEANUP_STEPS: dict[str, Callable[[FirmGraph], bool]] = {
 _RULES = ("fold", *_CLEANUP_STEPS)
 
 # Rule -> the rules whose match its rewrite can create. Each rule leaves no
-# match of its own behind, so none names itself. The entries hold on graphs
-# of plain control (see _plain_control).
+# match of its own behind, so none names itself. The entries hold on
+# graphs of plain control (see _plain_control).
 _ENABLES: dict[str, frozenset[str]] = {
-    # A fresh Const can complete a Cond's or a link's operands; the folded
+    # A fresh Const can complete a Cond's or a link's operands, or be the
+    # last operand a loop read from outside that was no Const; the folded
     # node's operands lose a reader; fold_phi deletes a Phi, which may have
     # been its block's only member but the Jmp or its last Phi; a folded
     # Div or Mod, or a node over one, no longer traps.
-    "fold": frozenset({"fold_cond", "assoc", "unused", "merge", "bypass", "redundant"}),
-    # The untaken successor loses a predecessor; the taken one now follows
-    # a Jmp; the condition loses a reader; a block that held only the Cond
-    # now holds only a Jmp.
-    "fold_cond": frozenset({"reach", "phi_op", "fep", "unused", "merge", "bypass"}),
-    # Deleted members and transfers take operands and predecessors from
-    # live nodes with them, and can open a link on a ring through no Phi or
-    # cut a Phi's path to a Div.
-    "reach": frozenset(
-        {"fold", "phi_op", "fep", "simplify", "assoc", "unused", "merge", "bypass", "redundant"}
+    "fold": frozenset(
+        {"fold_cond", "assoc", "loop", "unused", "merge", "bypass", "redundant"}
     ),
-    # A Phi left with fewer operands, maybe none that reaches a Div.
-    "phi_op": frozenset({"fold", "simplify", "unused", "redundant"}),
+    # The untaken successor loses a predecessor; the taken one now follows
+    # a Jmp; the condition loses a reader, maybe the last outside a loop; a
+    # block that held only the Cond now holds only a Jmp.
+    "fold_cond": frozenset({"reach", "phi_op", "fep", "loop", "unused", "merge", "bypass"}),
+    # Deleted members and transfers take operands and predecessors from
+    # live nodes with them, and can open a link on a ring through no Phi,
+    # cut a Phi's path to a Div or take a loop's last outside reader.
+    "reach": frozenset(
+        {"fold", "phi_op", "fep", "simplify", "assoc", "loop", "unused", "merge", "bypass",
+         "redundant"}
+    ),
+    # A Phi left with fewer operands, maybe none that reaches a Div, none
+    # that is no Const in a loop header, or none in a loop.
+    "phi_op": frozenset({"fold", "simplify", "loop", "unused", "redundant"}),
     # Positions only; phi_op, due with it, has just put every Phi operand
     # on a live position, which the renumbering keeps live.
     "fep": frozenset(),
     # The Phi's readers now read its operand, a Const or a link; its block
     # may lose its last Phi, or hold only its Jmp. Every path that ran
     # through the Phi now ends at that operand, so nothing goes unread.
-    "simplify": frozenset({"fold", "fold_cond", "assoc", "merge", "bypass", "redundant"}),
+    "simplify": frozenset(
+        {"fold", "fold_cond", "assoc", "loop", "merge", "bypass", "redundant"}
+    ),
     # The old links and constants lose a reader.
     "assoc": frozenset({"unused"}),
+    # The exit may now follow a Jmp, or a Cond whose other edge enters it
+    # too; a block may have held only a Jmp and Consts that the loop alone
+    # read. Another loop's header follows the same kind of transfer as
+    # before, and a Const is all either loop read of the other, which
+    # leaves no reader behind.
+    "loop": frozenset({"merge", "bypass", "redundant"}),
     # A dead Phi was its block's last, or a dead value its block's last
-    # member but the Jmp.
-    "unused": frozenset({"merge", "bypass", "redundant"}),
+    # member but the Jmp; a dead node read a loop's value, or one that is
+    # no Const.
+    "unused": frozenset({"loop", "merge", "bypass", "redundant"}),
     # The members move and reachability holds; under plain control no
     # other edge entered the Jmp or the Block.
     "merge": frozenset(),
@@ -391,9 +637,10 @@ _ENABLES: dict[str, frozenset[str]] = {
     # a successor that held only a Jmp would have merged first.
     "bypass": frozenset({"redundant"}),
     # The join loses a predecessor, renumbered on the spot, and may be left
-    # with the one Controlflow edge; the condition loses a reader; a block
-    # that held only the Cond now holds only a Jmp.
-    "redundant": frozenset({"unused", "merge", "bypass"}),
+    # with the one Controlflow edge; the condition loses a reader, maybe the
+    # last outside a loop; a block that held only the Cond now holds only a
+    # Jmp.
+    "redundant": frozenset({"loop", "unused", "merge", "bypass"}),
 }
 # The rules a verified graph gives no match right after the pre-pass: V7
 # leaves fix_edge_position nothing to renumber, V4 leaves no Phi operand
@@ -408,11 +655,13 @@ def _plain_control(g: FirmGraph) -> bool:
 
     _ENABLES relies on this: the rules that delete value nodes then drop no
     predecessor, and merge_blocks drops only the edge it follows. No rule
-    adds a control edge or an edge into a Block or entered Jmp. One moves an
-    edge onto a Cond: bypass_empty_block gives it the edge of the Jmp it
-    deletes, in place of the True or False edge that goes with the block, so
-    the Cond keeps one of each. So it holds throughout optimize once it
-    holds on entry. Generated graphs keep it; a graph that verifies without
+    adds a control edge or an edge into a Block or entered Jmp. Two move an
+    edge onto a transfer: bypass_empty_block gives a Cond the edge of the
+    Jmp it deletes, in place of the True or False edge that goes with the
+    block, so the Cond keeps one of each, and delete_dead_loop gives the
+    preheader's Jmp or Cond the exit's edge, with the kind of the header's
+    edge it replaces. So it holds throughout optimize once it holds on
+    entry. Generated graphs keep it; a graph that verifies without
     it gets the every-rule passes.
     """
     # FirmGraph's tables, read directly as verify does: this runs on every

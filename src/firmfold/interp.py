@@ -163,8 +163,8 @@ def _decode(g: FirmGraph, nid: int) -> tuple:
     else:
         message = f"{kind.value} node {nid} does not produce a value"
         return nid, _FAIL, InterpreterError, None, message, operands
-    # Too few operands: raise what indexing the missing one raises.
-    return nid, _FAIL, IndexError, None, "list index out of range", operands
+    message = f"{kind.value} node {nid} has too few operands: {len(operands)}"
+    return nid, _FAIL, InterpreterError, None, message, operands
 
 
 def _order(g: FirmGraph, nodes: dict, root: int) -> list[tuple]:

@@ -145,6 +145,12 @@ class _Machine:
 
     def _compute(self, nid: int, node, op: NodeKind, vals: list[int]) -> int:
         self._bump()
+        if op in BINARY_KINDS or op is _NOT:
+            needed = 2 if op in BINARY_KINDS and node.kind not in IMMEDIATE_KINDS else 1
+            if len(vals) < needed:
+                raise InterpreterError(
+                    f"{node.kind.value} node {nid} has too few operands: {len(vals)}"
+                )
         if op in BINARY_KINDS:
             b = node.value if node.kind in IMMEDIATE_KINDS else vals[1]
             value = apply_binary(op, vals[0], b, node.relation)

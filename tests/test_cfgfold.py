@@ -37,11 +37,12 @@ from firmfold.cfgfold import (
 )
 from firmfold.constfold import fold_dataflow_fixpoint
 from firmfold.errors import ContractError, GraphError, InterpreterError, VerificationError
-from firmfold.graphio import generate
+from firmfold.graphio import generate, to_json
 from firmfold.interp import TRAP_STEP_LIMIT, execute
 from firmfold.ir import BINARY_KINDS, INT_MAX, INT_MIN, EdgeKind, NodeKind, Relation
 from firmfold.verifier import verify
 from reference_dce import dead_nodes, remove_unused_node, remove_unused_to_fixpoint
+from reference_interp import execute as reference_execute
 from test_optimize_schedule import _blocks, _cond, _const, _jmp, _load, _op
 
 
@@ -809,3 +810,217 @@ def test_the_trap_analysis_is_linear_in_the_conds_over_a_shared_chain(div_at_bas
         assert conds == (k if div_at_base else 0)
     assert counts[400] <= 4 * counts[100] * 1.25
     assert counts[1600] <= 4 * counts[400] * 1.25
+
+
+# -- dead counted loops --------------------------------------------------------
+
+K = NodeKind
+TRUE, FALSE = EdgeKind.TRUE, EdgeKind.FALSE
+# Above every step count of the runs below that end.
+LOOP_LIMIT = 5_000
+
+
+def _counted(init=0, bound=6, step_kind=K.ADD, step=1, relation=Relation.LESS, body_on=TRUE):
+    """entry: i = init; while (i relation bound) i = i step_kind step; then
+    the exit returns a volatile Load x. The body is entered by the header
+    Cond's body_on edge, the exit by the other. Returns g and the ids."""
+    g, entry, _ = func_graph()
+    x = _load(g, entry)
+    header, body, exit_b = _blocks(g, 3)
+    pre = _jmp(g, entry, header, 0)
+    counter = g.add_node(K.PHI, block=header)
+    test = g.add_node(K.CMP, relation=relation, block=header)
+    bound_node = _const(g, entry, bound)
+    g.add_edge(test, counter, DF, 0)
+    g.add_edge(test, bound_node, DF, 1)
+    into, out = (body, 0), (exit_b, 0)
+    cond = _cond(g, header, test, *((into, out) if body_on is TRUE else (out, into)))
+    nxt = _op(g, step_kind, body, counter, _const(g, entry, step))
+    _jmp(g, body, header, 1)
+    g.add_edge(counter, _const(g, entry, init), DF, 0)
+    g.add_edge(counter, nxt, DF, 1)
+    ret = finish_return(g, exit_b, x)
+    names = dict(
+        entry=entry, x=x, pre=pre, header=header, body=body, exit=exit_b, counter=counter,
+        test=test, bound=bound_node, cond=cond, next=nxt, ret=ret,
+    )
+    return g, names
+
+
+def _reference_verdicts(g, inputs_list):
+    """(value, trap) of each run of the reference interpreter, None for a
+    step-limit outcome, which no rule keeps."""
+    verdicts = []
+    for inputs in inputs_list:
+        r = reference_execute(g, inputs, LOOP_LIMIT)
+        verdicts.append(None if r.trapped == TRAP_STEP_LIMIT else (r.value, r.trapped))
+    return verdicts
+
+
+def _loop_inputs(g):
+    loads = sorted(n for n, node in g.items() if node.kind is K.LOAD and node.volatile)
+    return [dict.fromkeys(loads, v) for v in (0, 1, 3, -7, INT_MAX)]
+
+
+def _assert_same_verdicts(before, after):
+    inputs = _loop_inputs(before)
+    ours, theirs = _reference_verdicts(before, inputs), _reference_verdicts(after, inputs)
+    assert [(a, b) for a, b in zip(ours, theirs) if None not in (a, b) and a != b] == []
+    return ours
+
+
+def _rule_and_optimize(g, cond, deletes):
+    """Apply delete_dead_loop to cond and optimize to g, checking each
+    against the verdicts of g on the reference interpreter. Returns the
+    graph after the rule."""
+    assert verify(g) == []
+    ruled = g.copy()
+    assert cfgfold.delete_dead_loop(ruled, cond) is deletes
+    if not deletes:
+        assert to_json(ruled) == to_json(g)
+    assert verify(ruled) == [] and cfgfold._plain_control(ruled)
+    _assert_same_verdicts(g, ruled)
+    optimized = g.copy()
+    optimize(optimized)
+    _assert_same_verdicts(g, optimized)
+    conds = sum(node.kind is K.COND for _nid, node in optimized.items())
+    return ruled, optimized, conds
+
+
+@pytest.mark.parametrize("bound, trips", [(0, 0), (1, 1), (6, 6)])
+def test_a_counted_loop_nothing_reads_is_deleted(bound, trips):
+    g, n = _counted(bound=bound)
+    phis = [n["counter"]]
+    assert cfgfold._trip_count(g, n["cond"], True, phis, 0, 1) == trips
+    ruled, optimized, conds = _rule_and_optimize(g, n["cond"], deletes=True)
+    assert not {n["header"], n["body"], n["counter"], n["next"], n["cond"]} & set(ruled.node_ids())
+    # the exit now follows the preheader's Jmp, and merges into the entry
+    assert [(e.kind, e.position, e.dst) for e in ruled.control_in_edges(n["exit"])] == [
+        (EdgeKind.CONTROLFLOW, 0, n["pre"])
+    ]
+    assert conds == 0 and n["exit"] not in optimized
+    # the loop's Consts went with it; the Load's address stays
+    assert _kind_census(ruled) == sorted(
+        ["Block", "Start", "Block", "End", "Const", "Load", "Jmp", "Block", "Return"]
+    )
+    before, after = execute(g, {n["x"]: 5}), execute(ruled, {n["x"]: 5})
+    assert (before.value, after.value) == (5, 5)
+    # a trip reads the counter and a Const and computes the step and the
+    # test, and runs two transfers; entering and leaving costs the initial
+    # Const and one more test
+    assert before.steps - after.steps == 8 * trips + 5
+
+
+def test_a_loop_entered_by_its_false_edge_is_deleted():
+    g, n = _counted(relation=Relation.GREATER_EQUAL, body_on=FALSE)
+    assert cfgfold._trip_count(g, n["cond"], False, [n["counter"]], 0, 1) == 6
+    _rule_and_optimize(g, n["cond"], deletes=True)
+
+
+def test_a_loop_counting_down_by_sub_is_deleted():
+    g, n = _counted(init=6, bound=0, step_kind=K.SUB, relation=Relation.GREATER_EQUAL)
+    assert cfgfold._trip_count(g, n["cond"], True, [n["counter"]], 0, 1) == 7
+    _rule_and_optimize(g, n["cond"], deletes=True)
+
+
+def test_the_trip_budget_keeps_longer_loops():
+    for bound, deletes in ((cfgfold.MAX_LOOP_TRIPS, True), (cfgfold.MAX_LOOP_TRIPS + 1, False)):
+        g, n = _counted(bound=bound)
+        _rule_and_optimize(g, n["cond"], deletes)
+    g, n = _counted(bound=1_000)
+    assert cfgfold._trip_count(g, n["cond"], True, [n["counter"]], 0, 1) is None
+    _ruled, optimized, conds = _rule_and_optimize(g, n["cond"], deletes=False)
+    assert conds == 1
+
+
+def test_infinite_loops_are_kept():
+    g, n = _counted(step=0)
+    _rule_and_optimize(g, n["cond"], deletes=False)
+    g, names = build_infinite_loop()
+    assert cfgfold.delete_dead_loop(g, names["cond"]) is False
+    optimize(g)
+    assert execute(g, max_steps=100).trapped == TRAP_STEP_LIMIT
+
+
+def test_a_counter_the_return_reads_keeps_its_loop():
+    g, n = _counted()
+    g.retarget_edge(g.operand_edges(n["ret"])[0], n["counter"])
+    _ruled, optimized, conds = _rule_and_optimize(g, n["cond"], deletes=False)
+    assert conds == 1 and execute(optimized).value == 6
+
+
+def test_a_counter_a_phi_of_the_exit_reads_keeps_its_loop():
+    # the entry's Cond over x enters the preheader, or skips the loop into
+    # the exit, whose Phi reads the counter from the header and 9 from the
+    # entry
+    g, n = _counted()
+    entry, x = n["entry"], n["x"]
+    (pre,) = _blocks(g, 1)
+    g.delete_node(n["pre"])
+    _jmp(g, pre, n["header"], 0)
+    _cond(g, entry, x, (pre, 0), (n["exit"], 1))
+    phi = _op(g, K.PHI, n["exit"], n["counter"], _const(g, entry, 9))
+    g.retarget_edge(g.operand_edges(n["ret"])[0], phi)
+    _ruled, _optimized, conds = _rule_and_optimize(g, n["cond"], deletes=False)
+    assert conds == 2
+    assert [execute(g, {x: v}).value for v in (0, 1)] == [9, 6]
+
+
+def _with_member(kind):
+    """The counted loop with a node of kind inside: a Div or a Mod by 7 of
+    the counter as the tested value, a non-volatile Load of 0 added to the
+    step, or a Store of the counter to address 0 in the body."""
+    g, n = _counted()
+    entry, header, body = n["entry"], n["header"], n["body"]
+    if kind in (K.DIV, K.MOD):
+        seven = _const(g, entry, 7)
+        g.retarget_edge(g.operand_edges(n["test"])[0], _op(g, kind, header, n["counter"], seven))
+    elif kind is K.LOAD:
+        load = g.add_node(K.LOAD, block=body)
+        g.add_edge(load, _const(g, entry, 0), DF, 0)
+        g.retarget_edge(g.operand_edges(n["next"])[0], _op(g, K.ADD, body, n["counter"], load))
+    else:
+        _op(g, K.STORE, body, _const(g, entry, 0), n["counter"])
+    return g, n
+
+
+@pytest.mark.parametrize("kind", [K.DIV, K.MOD, K.LOAD, K.STORE])
+def test_a_loop_that_can_trap_or_touch_memory_is_kept(kind):
+    g, n = _with_member(kind)
+    _ruled, _optimized, conds = _rule_and_optimize(g, n["cond"], deletes=False)
+    assert conds == 1
+
+
+def test_a_loop_bounded_by_a_volatile_load_is_kept():
+    g, n = _counted()
+    g.retarget_edge(g.operand_edges(n["test"])[1], _load(g, n["entry"]))
+    _ruled, _optimized, conds = _rule_and_optimize(g, n["cond"], deletes=False)
+    assert conds == 1
+
+
+def test_a_loop_with_a_two_block_body_is_kept():
+    # the body's Jmp enters a second block, whose Jmp enters the header
+    g, n = _counted()
+    (tail,) = _blocks(g, 1)
+    back = next(m for m in g.members_of(n["body"]) if g.node(m).kind is K.JMP)
+    g.retarget_edge(g.in_edges(back)[0], g.add_node(K.JMP, block=tail))
+    g.add_edge(tail, back, CF, 0)
+    _ruled, _optimized, conds = _rule_and_optimize(g, n["cond"], deletes=False)
+    assert conds == 1
+
+
+def test_a_loop_whose_exit_is_its_preheader_is_kept():
+    # The header's exit re-enters the preheader, whose Cond over x enters
+    # the header again or returns; runs with x nonzero never end.
+    g, n = _counted()
+    entry, x, header, exit_b = n["entry"], n["x"], n["header"], n["exit"]
+    (pre,) = _blocks(g, 1)
+    g.delete_node(n["pre"])
+    _jmp(g, entry, pre, 0)
+    g.delete_edge(g.in_edges(n["cond"], FALSE)[0])
+    g.add_edge(pre, n["cond"], FALSE, 1)
+    _cond(g, pre, x, (header, 0), (exit_b, 0))
+    _ruled, _optimized, conds = _rule_and_optimize(g, n["cond"], deletes=False)
+    assert conds == 2
+    assert execute(g, {x: 0}).value == 0
+    assert execute(g, {x: 1}).trapped == TRAP_STEP_LIMIT

@@ -23,6 +23,11 @@ Bypassing blocks that hold only a Jmp behind a Cond edge
 without Phis (fold_redundant_cond), changed the optimized and lowered
 texts of 137 of the 503 graphs, each of which lost 2 to 218 nodes; the
 input texts, and every verdict, stayed the same.
+
+Deleting counted loops that nothing reads and that a simulation shows to
+end within cfgfold.MAX_LOOP_TRIPS trips (delete_dead_loop) changed the
+optimized and lowered texts of 261 of the 503 graphs, each of which lost
+7 to 41 nodes; the input texts, and every verdict, stayed the same.
 """
 
 import hashlib
@@ -39,8 +44,8 @@ from reference_dce import dead_nodes
 
 DIGESTS = {
     "input": "f913f09b8b020250584f989f650cbf65ebf24b79530a17afdb1be8718f5f8cf3",
-    "optimized": "a3877174be1b5a4d28ae8f43d0ba3b28a76b1c742df3dfd826fa3e9bbbe6978a",
-    "lowered": "f2cfa119cee699ff817e57a6f81bbc439fb9253bef05db80b21a27e903f1527e",
+    "optimized": "f2a0e8f7fb86d20240e1f391317bdeeb40908ac7883edbdd9e2d3f7413cc5015",
+    "lowered": "80368fc6da52f0cce9dbeed30a5e8af6e9c1cc79ab8f49d9f92ca0f9bda306b1",
 }
 
 

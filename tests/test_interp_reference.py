@@ -201,6 +201,19 @@ def _ring(size):
     return g, None
 
 
+def _too_few_operands(kind):
+    """Return(node), where node is a kind that needs more operands than it
+    has: an Add with one, a TargetAddI or a Not with none."""
+    g, entry, _ = func_graph()
+    one = g.add_node(K.CONST, value=1, block=entry)
+    value = 4 if kind is K.TARGET_ADD_I else None
+    node = g.add_node(kind, value=value, block=entry)
+    if kind is K.ADD:
+        g.add_edge(node, one, DF, 0)
+    finish_return(g, entry, node)
+    return g, None
+
+
 def _missing_volatile_input():
     g, names = build_div_graph()
     return g, {names["x"]: 7}
@@ -227,6 +240,12 @@ ERROR_CASES = {
     "cycle through no phi": (lambda: _ring(3), "dataflow cycle through node"),
     "self loop": (lambda: _ring(1), "dataflow cycle through node"),
     "missing volatile input": (_missing_volatile_input, "no input value for volatile Load"),
+    "add with one operand": (lambda: _too_few_operands(K.ADD), "Add node 5 has too few operands: 1"),
+    "immediate without operand": (
+        lambda: _too_few_operands(K.TARGET_ADD_I),
+        "TargetAddI node 5 has too few operands: 0",
+    ),
+    "not without operand": (lambda: _too_few_operands(K.NOT), "Not node 5 has too few operands: 0"),
 }
 
 

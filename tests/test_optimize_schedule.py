@@ -29,7 +29,7 @@ from firmfold.cfgfold import cleanup_round, optimize
 from firmfold.constfold import fold_dataflow_fixpoint
 from firmfold.errors import VerificationError
 from firmfold.graphio import GenSpec, generate, to_json
-from firmfold.ir import BINARY_KINDS, EdgeKind, NodeKind
+from firmfold.ir import BINARY_KINDS, EdgeKind, NodeKind, Relation
 from firmfold.isel import run_instruction_selection
 from firmfold.verifier import verify
 from reference_optimize import reference_optimize
@@ -193,8 +193,31 @@ def _dead_loop():
     return g
 
 
+def _two_loops(share_a_const):
+    """Two counted loops that nothing reads, the second in control flow
+    built first, so a sweep visits its Cond first. The first loop exits
+    into the second's header, or, with share_a_const, into a block that
+    jumps there, and the first loop's bound is then a Const in the second's
+    header."""
+    g, entry, _ = func_graph()
+    second, exit_b, first = _blocks(g, 3)
+    three = _const(g, second, 3)
+    _counted_loop(g, second, (exit_b, 0), three)
+    _jmp(g, entry, first, 0)
+    if share_a_const:
+        (mid,) = _blocks(g, 1)
+        _jmp(g, mid, second, 0)
+        _counted_loop(g, first, (mid, 0), three)
+    else:
+        _counted_loop(g, first, (second, 0), _const(g, first, 4))
+    finish_return(g, exit_b, _load(g, entry))
+    return g
+
+
 HAND_BUILT = {
     "dead loop": _dead_loop,
+    "two loops in a row": lambda: _two_loops(False),
+    "a loop bounded by another loop's Const": lambda: _two_loops(True),
     "jump chain": lambda: build_jmp_chain(6)[0],
     "assoc chain, outermost first": lambda: _add_chain(True),
     "assoc chain, innermost first": lambda: _add_chain(False),
@@ -207,6 +230,20 @@ def test_hand_built_graphs_match_the_every_round_driver(name):
     g = HAND_BUILT[name]()
     assert verify(g) == []
     _assert_same_as_reference(g)
+
+
+@pytest.mark.parametrize("share_a_const", [False, True])
+def test_deleting_a_loop_gives_no_other_loop_its_match(share_a_const):
+    # The second loop's header follows the first loop's Cond, or its Const
+    # is read by the first loop; neither keeps the rule off it, so the sweep
+    # that visits the second loop first deletes both, in round 1.
+    g = _two_loops(share_a_const)
+    rounds = []
+    optimize(g, on_round=lambda r, _g: rounds.append(r))
+    assert rounds == [1]
+    assert sorted(node.kind.value for _nid, node in g.items()) == sorted(
+        ["Block", "Block", "Start", "End", "Const", "Load", "Return"]
+    )
 
 
 def test_a_merge_and_assoc_graph_runs_one_round_without_position_rules(monkeypatch):
@@ -546,6 +583,71 @@ def _w_redundant_cond_empties_its_block():
     return g
 
 
+def _counted_loop(g, header, exit_to, bound, home=None, step_const=None):
+    """i = Phi(0, i + 1) in header while i < bound, in a one-block body: the
+    header's Cond enters the body by True and exit_to, a (block, position),
+    by False; the caller wires the header's position 0. The Consts live in
+    home, the header by default, and step_const replaces the Const 1.
+    Returns the counter Phi and the body."""
+    home = header if home is None else home
+    (body,) = _blocks(g, 1)
+    counter = g.add_node(K.PHI, block=header)
+    one = _const(g, home, 1) if step_const is None else step_const
+    step = _op(g, K.ADD, body, counter, one)
+    g.add_edge(counter, _const(g, home, 0), DF, 0)
+    g.add_edge(counter, step, DF, 1)
+    test = g.add_node(K.CMP, relation=Relation.LESS, block=header)
+    g.add_edge(test, counter, DF, 0)
+    g.add_edge(test, bound, DF, 1)
+    _cond(g, header, test, (body, 0), exit_to)
+    _jmp(g, body, header, 1)
+    return counter, body
+
+
+def _w_fold_then_loop():
+    # round 2 folds p, the loop's bound, into the Const 4; the busy arm
+    # keeps the split's Cond from folding as redundant
+    g, join, p, _four, x = _cut_join(busy_arm=True)
+    header, exit_b = _blocks(g, 2)
+    _jmp(g, join, header, 0)
+    _counted_loop(g, header, (exit_b, 0), p)
+    finish_return(g, exit_b, x)
+    return g
+
+
+def _w_cond_then_loop():
+    # Round 2 folds the Cond over q (Const 0: the False edge to the
+    # preheader is taken), which takes the body's second predecessor. The
+    # loop steps by the Const 1 of the entry's Cond, and the Return reads
+    # the Const 0, so no fold leaves a node unread.
+    g, entry, _ = func_graph()
+    (join,) = _blocks(g, 1)
+    one = _const(g, entry, 1)
+    _cond(g, entry, one, (join, 0), (join, 1))
+    zero = _const(g, entry, 0)
+    q = _op(g, K.PHI, join, zero, _load(g, entry))
+    pre, header, exit_b = _blocks(g, 3)
+    _jmp(g, pre, header, 0)
+    _, body = _counted_loop(g, header, (exit_b, 0), _const(g, header, 5), step_const=one)
+    _cond(g, join, q, (body, 1), (pre, 0))
+    finish_return(g, exit_b, zero)
+    return g
+
+
+def _w_redundant_then_loop():
+    # Round 1 folds the exit's Cond over the counter, whose two edges enter
+    # one block; round 2 deletes the loop, so the entry's Cond, the loop's
+    # preheader transfer, enters the exit by both edges
+    g, entry, _ = func_graph()
+    header, exit_b, tail = _blocks(g, 3)
+    x = _load(g, entry)
+    _cond(g, entry, x, (header, 0), (exit_b, 0))
+    counter, _ = _counted_loop(g, header, (exit_b, 1), _const(g, header, 3))
+    _cond(g, exit_b, counter, (tail, 0), (tail, 1))
+    finish_return(g, tail, x)
+    return g
+
+
 # (rule that fired, rule it makes due) -> a graph on which optimize without
 # that one entry leaves a different graph or a rule that still fires.
 WITNESSES = {
@@ -580,6 +682,10 @@ WITNESSES = {
         lambda g, entry: _op(g, K.ADD, entry, _load(g, entry), _const(g, entry, 3))
     ),
     ("redundant", "bypass"): _w_redundant_cond_empties_its_block,
+    ("fold", "loop"): _w_fold_then_loop,
+    ("fold_cond", "loop"): _w_cond_then_loop,
+    ("redundant", "loop"): _w_redundant_then_loop,
+    ("loop", "redundant"): _w_redundant_then_loop,
 }
 
 
@@ -664,6 +770,71 @@ def _arm(member=None, dead_predecessor=False):
     return g
 
 
+def _loop_after(g, entry, bound=None, exit_to=None):
+    """A counted loop whose preheader is entry, up to bound (a Const 3 in
+    the header by default), exiting into a fresh block that returns a
+    volatile Load, or into exit_to, a (block, position). Returns the
+    header, the counter Phi and the exit."""
+    (header,) = _blocks(g, 1)
+    _jmp(g, entry, header, 0)
+    bound = _const(g, header, 3) if bound is None else bound
+    if exit_to is None:
+        (exit_b,) = _blocks(g, 1)
+        finish_return(g, exit_b, _load(g, entry))
+        exit_to = (exit_b, 0)
+    counter, _ = _counted_loop(g, header, exit_to, bound)
+    return header, counter, exit_to[0]
+
+
+def _m_dead_block_enters_a_header():
+    g, entry, _ = func_graph()
+    header, counter, _ = _loop_after(g, entry)
+    (dead,) = _blocks(g, 1)
+    _jmp(g, dead, header, 2)
+    g.add_edge(counter, _const(g, dead, 0), DF, 2)
+    return g
+
+
+def _m_header_phi_reads_a_load_at_a_dead_position():
+    g, entry, _ = func_graph()
+    _, counter, _ = _loop_after(g, entry)
+    g.add_edge(counter, _load(g, entry), DF, 2)
+    return g
+
+
+def _m_loop_bound_is_a_trivial_phi():
+    g, entry, _ = func_graph()
+    (pre,) = _blocks(g, 1)
+    _jmp(g, entry, pre, 0)
+    _loop_after(g, pre, bound=_op(g, K.PHI, pre, _const(g, entry, 4)))
+    return g
+
+
+def _m_dead_node_reads_a_counter():
+    g, entry, _ = func_graph()
+    _, counter, exit_b = _loop_after(g, entry)
+    _op(g, K.ADD, exit_b, counter, _const(g, exit_b, 2))
+    return g
+
+
+def _m_loop_exit_follows_a_jmp():
+    g, entry, _ = func_graph()
+    _loop_after(g, entry)
+    return g
+
+
+def _m_loop_frees_a_block():
+    # E, entered by the True edge of a Cond, holds the loop's bound and the
+    # preheader's Jmp; the deleted loop takes the bound with it
+    g, entry, _ = func_graph()
+    e_block, join = _blocks(g, 2)
+    x = _load(g, entry)
+    _cond(g, entry, x, (e_block, 0), (join, 0))
+    _loop_after(g, e_block, bound=_const(g, e_block, 3), exit_to=(join, 1))
+    finish_return(g, join, x)
+    return g
+
+
 def _m_phi_was_the_last_of_a_join():
     g, entry, _ = func_graph()
     (join,) = _blocks(g, 1)
@@ -693,6 +864,19 @@ def _m_phi_was_the_last_of_a_join():
 # - unused -> bypass: unused fires after a rule that makes bypass due, or
 #   after phi_op or assoc, which fire only after such a rule in the same
 #   round.
+# - reach -> loop and phi_op -> loop: the sweep fires only in round 1 or
+#   after fold_cond in the same round, and phi_op only after one of the
+#   two; both make the loop rule due, and it runs after them;
+# - simplify -> loop: simplify fires in round 1 or after phi_op or the
+#   sweep in the same round;
+# - unused -> loop: unused fires in round 1, after a rule that makes the
+#   loop rule due in the same round or, for redundant, in the round
+#   before, or after assoc, which fires only after fold, the sweep or
+#   simplify in the same round;
+# - loop -> merge and loop -> bypass: the loop rule fires in round 1, or
+#   after fold, fold_cond, the sweep, simplify or unused in the same round
+#   or redundant in the round before, which all make merge and bypass
+#   due, or after phi_op, which fires only after fold_cond or the sweep.
 # Each is still a rewrite that gives its target a match, shown here on a
 # graph where one application of the rule does so.
 MASKED = {
@@ -709,6 +893,12 @@ MASKED = {
         lambda g, entry, arm: _op(g, K.PHI, arm, _load(g, entry))
     ),
     ("simplify", "redundant"): _m_phi_was_the_last_of_a_join,
+    ("reach", "loop"): _m_dead_block_enters_a_header,
+    ("phi_op", "loop"): _m_header_phi_reads_a_load_at_a_dead_position,
+    ("simplify", "loop"): _m_loop_bound_is_a_trivial_phi,
+    ("unused", "loop"): _m_dead_node_reads_a_counter,
+    ("loop", "merge"): _m_loop_exit_follows_a_jmp,
+    ("loop", "bypass"): _m_loop_frees_a_block,
     ("unused", "bypass"): lambda: _arm(
         lambda g, entry, arm: _op(g, K.ADD, arm, _load(g, entry), _const(g, arm, 2))
     ),
