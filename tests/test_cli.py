@@ -470,6 +470,69 @@ def test_exec_arguments_keep_the_exit_code_contract(tmp_path_factory, data):
         assert any("error: " in line for line in err.splitlines()), (argv, err)
 
 
+def _at_most(top, text):
+    """Whether text, read as a number, is at most top; True if it is none."""
+    try:
+        return float(text) <= top
+    except ValueError:
+        return True
+
+
+def _count(top):
+    """An option's text: an integer from -3 to top, or a short word that
+    reads as no number above top. Counts that size what gen or bench builds,
+    or how often bench repeats it, stay at most top: a huge one is work and
+    memory the command would really spend."""
+    words = _WORDS.filter(lambda text: _at_most(top, text))
+    return st.one_of(st.integers(0, top).map(str), st.integers(-3, top).map(str), words)
+
+
+_ODD_NUMBERS = st.one_of(_NUMBERS.map(str), st.floats(allow_nan=True, allow_infinity=True).map(str))
+_PASSES = st.lists(st.sampled_from(("fold", "isel", "", " fold", "isel ", "dce", "FOLD")), max_size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gen_bench_and_pass_arguments_keep_the_exit_code_contract(tmp_path_factory, data):
+    """gen's shape flags, bench's --sizes and --repeat, and --max-rounds and
+    --passes on fold and run, with generated texts: every exit is 0, 1, 2 or
+    3 with no exception let out, and every failing exit prints an error
+    line. Outputs go to the null device, which keeps file-system writes out
+    of the test's time."""
+    command = data.draw(st.sampled_from(("gen", "bench", "fold", "run")))
+    if command == "gen":
+        argv = ["gen", "-o", os.devnull]
+        for flag, values in (
+            ("--seed", st.one_of(_NUMBERS.map(str), _WORDS)),
+            ("--blocks", _count(40)),
+            ("--ops-per-block", _count(8)),
+            ("--const-ratio", st.one_of(st.floats(0, 1).map(str), _ODD_NUMBERS)),
+            ("--loops", st.one_of(_count(12), _NUMBERS.map(str))),
+            ("--inputs", _count(8)),
+        ):
+            if data.draw(st.booleans()):
+                argv.append(f"{flag}={data.draw(values)}")
+    elif command == "bench":
+        sizes = data.draw(st.lists(_count(300), max_size=2))
+        argv = ["bench", "--sizes=" + ",".join(sizes), "--repeat=" + data.draw(_count(2))]
+        argv += ["-o", os.devnull]
+    else:
+        seed = data.draw(st.integers(0, 5))
+        src = tmp_path_factory.getbasetemp() / f"cli_args_{seed}.json"
+        if not src.exists():
+            spec = GenSpec(blocks=8, ops_per_block=2, const_ratio=0.3, loop_count=2, input_count=2)
+            save(generate(seed, spec), src)
+        argv = [command, str(src), "-o", os.devnull]
+        if command == "run":
+            argv.append("--passes=" + ",".join(data.draw(_PASSES)))
+        if data.draw(st.booleans()):
+            argv.append("--max-rounds=" + data.draw(st.one_of(_count(4), _ODD_NUMBERS)))
+    code, err = _main_in_process(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code != 0:
+        assert any("error: " in line for line in err.splitlines()), (argv, err)
+
+
 def test_gen_rejects_impossible_shapes(tmp_path, capsys):
     assert main(["gen", "--blocks", "1", "-o", str(tmp_path / "g.json")]) == 2
     assert "at least 2 blocks" in capsys.readouterr().err

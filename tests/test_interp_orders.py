@@ -45,13 +45,15 @@ def _sweep(g, inputs):
     return full
 
 
-def test_every_step_limit_on_the_branchy_golden_graphs_matches_the_reference():
-    """The three golden graphs of the benchmark's branchy shape, optimized
-    and then lowered, swept over every step limit on two input vectors."""
+def test_every_step_limit_on_branchy_graphs_with_live_loops_matches_the_reference():
+    """Three graphs of the benchmark's branchy shape whose outputs keep a
+    loop that the code after it reads, optimized and then lowered, swept
+    over every step limit on two input vectors. optimize deletes the loops
+    nothing reads, which left golden seeds 2 and 3 without one."""
     rng = random.Random(26)
     pool = (INT_MIN, -1, 0, 1, 2, 7, INT_MAX)
     steps = 0
-    for seed in (1, 2, 3):
+    for seed in (1, 6, 13):
         g = generate(seed, BRANCHY_SPEC)
         loads = sorted(nid for nid, node in g.items() if node.kind is K.LOAD and node.volatile)
         optimize(g)
