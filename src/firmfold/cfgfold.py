@@ -690,7 +690,8 @@ def cleanup_round(g: FirmGraph, due: set[str] | None = None) -> bool:
 
     Rule order matters: conditions fold before reachability is
     recomputed, Phi operands are pruned before positions are renumbered,
-    and block merging runs last over the settled shape. Alone, the round
+    dead loops go after the unused sweep, which can take their last
+    reader outside, and block merging runs last over the settled shape. Alone, the round
     runs every rule once. Given optimize's set of due rules, it runs only
     those still due when their turn comes, takes each rule out of the set
     as it runs, and adds what _ENABLES names for each rule that fired.
