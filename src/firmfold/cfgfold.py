@@ -28,12 +28,14 @@ nothing reads. It matches a header whose Cond enters a one-block body and
 an exit, entered from one preheader, where every node is pure and cannot
 trap, reads nothing from outside but Consts, and is read from outside
 only if it is a Const. A simulation runs the exit test from the header
-Phis' initial Consts with arith's functions, all Phis updated at once as
-in the interpreter, for at most MAX_LOOP_TRIPS trips (100, LLVM's
-brute-force bound in ScalarEvolution); a loop that has not left by then,
-an infinite one included, stays. The rewrite lets the preheader enter the
-exit and deletes the loop. Only steps go, so a step-limit trap that fell
-inside the loop gives way to the program's later verdict.
+Phis' initial Consts through the interpreter's demand orders, all Phis
+updated at once as in the interpreter, for at most MAX_LOOP_TRIPS trips
+(100, LLVM's brute-force bound in ScalarEvolution); a loop that has not
+left by then, an infinite one included, stays. The rewrite lets the preheader enter the
+exit, deletes the loop, and merges the exit into the preheader when
+merge_blocks can. The rule runs after merging, which can leave a body of
+one block where there were two. Only steps go, so a step-limit trap that
+fell inside the loop gives way to the program's later verdict.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from .arith import BINARY, COMPARE, apply_not
 from .constfold import fold_dataflow_fixpoint
 from .errors import ContractError, GraphError, NoBlockError, PassOutputError, VerificationError
 from .ir import (
@@ -54,6 +55,8 @@ from .ir import (
     PURE_KINDS,
     NodeKind,
 )
+from .interp import _BINARY, _READ_PHI, _UNARY, _VALUE
+from .interp import _order as _demand_order
 from .verifier import verify
 from . import constfold
 
@@ -61,7 +64,7 @@ from . import constfold
 _BLOCK, _JMP, _COND, _PHI, _CONST = (
     NodeKind.BLOCK, NodeKind.JMP, NodeKind.COND, NodeKind.PHI, NodeKind.CONST
 )
-_DIV, _MOD, _NOT, _CMP = NodeKind.DIV, NodeKind.MOD, NodeKind.NOT, NodeKind.CMP
+_DIV, _MOD = NodeKind.DIV, NodeKind.MOD
 _DATAFLOW, _CONTROLFLOW = EdgeKind.DATAFLOW, EdgeKind.CONTROLFLOW
 _TRUE, _FALSE = EdgeKind.TRUE, EdgeKind.FALSE
 _BRANCH_KINDS = frozenset({_TRUE, _FALSE})
@@ -355,10 +358,11 @@ def delete_dead_loop(g: FirmGraph, nid: int) -> bool:
     X's Phis read what they read before. One delete_nodes call takes H, B,
     their members except the Consts read from outside, which move to P,
     and the Consts outside that only the loop read, so the unused sweep
-    has nothing left to do. Such a loop computes nothing observable and
-    cannot trap, so only its steps go: a step-limit trap that fell inside
-    it gives way to the program's later verdict, as with any rewrite that
-    removes work.
+    has nothing left to do. merge_blocks then folds X into P when T is a
+    Jmp, X's one predecessor, and X has no Phi, so no merge waits for the
+    next round. Such a loop computes nothing observable and cannot trap,
+    so only its steps go: a step-limit trap that fell inside it gives way
+    to the program's later verdict, as with any rewrite that removes work.
     """
     nodes, ins, outs = g._nodes, g._in, g._out
     node = nodes.get(nid)
@@ -429,6 +433,7 @@ def delete_dead_loop(g: FirmGraph, nid: int) -> bool:
     g.delete_nodes((header, body, *loop.difference(hoisted), *unread))
     for c in hoisted:
         g.set_block(c, preheader)
+    merge_blocks(g, exit_block)
     return True
 
 
@@ -441,13 +446,13 @@ def _trip_count(
     The loop is cond's header, whose Phis, phis, read their operand at
     position entry on the first entry and at back on each later one, and
     the body, which cond enters while its operand is nonzero if stay_on is
-    True, zero if it is False. Each operand at entry must be a Const.
+    True, zero if it is False. Each operand at entry must be a Const, and
+    phis must hold every Phi that the computation below reads.
     cond's operand and the Phis' operands at back are computed from the
     current Phi values, and every Phi takes its new value at once, as the
     interpreter updates them.
     """
     nodes, outs = g._nodes, g._out
-    values: dict[int, int] = {}
     state, roots = [], []
     for phi in phis:
         found: dict[int, int] = {}
@@ -464,9 +469,22 @@ def _trip_count(
     if len(outs[cond]) != 1:
         return None
     test = outs[cond][0].dst
-    order = _trip_order(g, [test, *roots], set(phis), values)
-    if order is None:
-        return None
+    # The interpreter's demand orders of the test and the Phis' operands at
+    # back, each node once: a Const's value goes into values, a Phi is read
+    # there, and the rest is computed on every trip.
+    values: dict[int, int] = {}
+    order, listed, decoded = [], set(), {}
+    for root in (test, *roots):
+        for n, tag, fn, a, b, _ in _demand_order(g, decoded, root):
+            if n in listed:
+                continue
+            listed.add(n)
+            if tag == _BINARY or tag == _UNARY:
+                order.append((n, fn, a, b))
+            elif tag == _VALUE:
+                values[n] = b
+            elif tag != _READ_PHI:
+                return None
     for trips in range(MAX_LOOP_TRIPS + 1):
         values.update(zip(phis, state))
         for n, fn, a, b in order:
@@ -475,70 +493,6 @@ def _trip_count(
             return trips
         state = [values[r] for r in roots]
     return None
-
-
-def _trip_order(
-    g: FirmGraph, roots: list[int], phis: set[int], values: dict[int, int]
-) -> list[tuple] | None:
-    """The nodes that computing roots computes, each after its operands, as
-    (node, function, operand, second operand or None) entries. The Phis of
-    phis and Consts are read, not computed; each Const's value goes into
-    values. None at a cycle through no Phi, at another Phi, or at a node
-    that cannot run as a node of _LOOP_KINDS with its kind's operands."""
-    nodes, outs = g._nodes, g._out
-    order: list[tuple] = []
-    # True while a node's operands are being listed, False once it is.
-    listed: dict[int, bool] = {}
-    operands: dict[int, list[int]] = {}
-    stack = roots[::-1]
-    while stack:
-        n = stack[-1]
-        s = listed.get(n)
-        if s is False:
-            stack.pop()
-            continue
-        node = nodes[n]
-        kind = node.kind
-        if s is None:
-            if kind is _CONST:
-                values[n] = node.value
-            elif kind is _PHI:
-                if n not in phis:
-                    return None
-            elif kind not in _LOOP_KINDS:
-                return None
-            else:
-                edges = outs[n]
-                if kind is _NOT:
-                    if len(edges) != 1 or edges[0].position != 0:
-                        return None
-                    ids = [edges[0].dst]
-                else:
-                    if len(edges) != 2:
-                        return None
-                    a, b = edges
-                    if a.position > b.position:
-                        a, b = b, a
-                    if a.position != 0 or b.position != 1:
-                        return None
-                    ids = [a.dst, b.dst]
-                operands[n] = ids
-                listed[n] = True
-                for o in reversed(ids):
-                    if listed.get(o):
-                        return None
-                    stack.append(o)
-                continue
-        elif kind is _NOT:
-            order.append((n, apply_not, operands[n][0], None))
-        else:
-            fn = COMPARE.get(node.relation) if kind is _CMP else BINARY[kind]
-            if fn is None:
-                return None
-            order.append((n, fn, *operands[n]))
-        listed[n] = False
-        stack.pop()
-    return order
 
 
 def _sweep(
@@ -573,8 +527,8 @@ _CLEANUP_STEPS: dict[str, Callable[[FirmGraph], bool]] = {
     "simplify": lambda g: _sweep(g, simplify_trivial_phi, _PHIS),
     "assoc": lambda g: _sweep(g, constfold.fold_assoc_comm, COMMUTATIVE_KINDS),
     "unused": lambda g: _exhaust_unused(g),
-    "loop": lambda g: _sweep(g, delete_dead_loop, _CONDS),
     "merge": lambda g: _sweep(g, merge_blocks, _BLOCKS),
+    "loop": lambda g: _sweep(g, delete_dead_loop, _CONDS),
     "bypass": lambda g: _sweep(g, bypass_empty_block, _BLOCKS),
     "redundant": lambda g: _sweep(
         g, partial(fold_redundant_cond, trapping=trapping_nodes(g)), _CONDS
@@ -620,21 +574,26 @@ _ENABLES: dict[str, frozenset[str]] = {
     ),
     # The old links and constants lose a reader.
     "assoc": frozenset({"unused"}),
-    # The exit may now follow a Jmp, or a Cond whose other edge enters it
-    # too; a block may have held only a Jmp and Consts that the loop alone
-    # read. Another loop's header follows the same kind of transfer as
+    # The exit may now follow a Cond whose other edge enters it too, or a
+    # Jmp, and then it has merged already; a block may have held only a Jmp
+    # and Consts that the loop alone read, or hold only the exit's Jmp once
+    # merged. Another loop's header follows the same kind of transfer as
     # before, and a Const is all either loop read of the other, which
     # leaves no reader behind.
-    "loop": frozenset({"merge", "bypass", "redundant"}),
+    "loop": frozenset({"bypass", "redundant"}),
     # A dead Phi was its block's last, or a dead value its block's last
     # member but the Jmp; a dead node read a loop's value, or one that is
     # no Const.
     "unused": frozenset({"loop", "merge", "bypass", "redundant"}),
     # The members move and reachability holds; under plain control no
-    # other edge entered the Jmp or the Block.
-    "merge": frozenset(),
+    # other edge entered the Jmp or the Block. A loop body of two blocks,
+    # the second entered by the first's Jmp alone, becomes one.
+    "merge": frozenset({"loop"}),
     # The Cond may now enter one block by both edges. Positions hold, and
-    # a successor that held only a Jmp would have merged first.
+    # a successor that held only a Jmp would have merged first. A body the
+    # header's Cond now enters had the deleted block's Jmp alone enter it,
+    # and no Phi, as a loop's body has none: it merged into that block
+    # before the bypass.
     "bypass": frozenset({"redundant"}),
     # The join loses a predecessor, renumbered on the spot, and may be left
     # with the one Controlflow edge; the condition loses a reader, maybe the
@@ -690,8 +649,9 @@ def cleanup_round(g: FirmGraph, due: set[str] | None = None) -> bool:
 
     Rule order matters: conditions fold before reachability is
     recomputed, Phi operands are pruned before positions are renumbered,
-    dead loops go after the unused sweep, which can take their last
-    reader outside, and block merging runs last over the settled shape. Alone, the round
+    block merging runs over the settled shape, and dead loops go after
+    the unused sweep, which can take their last reader outside, and after
+    merging, which can make a loop's body one block. Alone, the round
     runs every rule once. Given optimize's set of due rules, it runs only
     those still due when their turn comes, takes each rule out of the set
     as it runs, and adds what _ENABLES names for each rule that fired.

@@ -76,8 +76,9 @@ def test_fold_emit_dot_writes_one_file_per_round(tmp_path):
 
 
 def test_fold_settles_a_jump_chain_in_one_round(tmp_path):
-    # Merging the chain's blocks makes no rule due, so no round follows that
-    # only proves the fixpoint: one DOT file, and one round is enough.
+    # Merging the chain's blocks makes due only the loop rule, which runs
+    # after merging in the same round, so no round follows that only
+    # proves the fixpoint: one DOT file, and one round is enough.
     g, _ = build_jmp_chain(4)
     src = tmp_path / "in.json"
     save(g, src)

@@ -218,6 +218,8 @@ HAND_BUILT = {
     "dead loop": _dead_loop,
     "two loops in a row": lambda: _two_loops(False),
     "a loop bounded by another loop's Const": lambda: _two_loops(True),
+    "a loop with a two-block body": lambda: _two_block_body(False),
+    "a loop whose body starts with an empty block": lambda: _two_block_body(True),
     "jump chain": lambda: build_jmp_chain(6)[0],
     "assoc chain, outermost first": lambda: _add_chain(True),
     "assoc chain, innermost first": lambda: _add_chain(False),
@@ -636,15 +638,42 @@ def _w_cond_then_loop():
 
 def _w_redundant_then_loop():
     # Round 1 folds the exit's Cond over the counter, whose two edges enter
-    # one block; round 2 deletes the loop, so the entry's Cond, the loop's
-    # preheader transfer, enters the exit by both edges
+    # the tail, which keeps the entry's edge, so nothing merges in round 2;
+    # round 2 deletes the loop, so a's Cond, the loop's preheader transfer,
+    # enters the exit by both edges
     g, entry, _ = func_graph()
-    header, exit_b, tail = _blocks(g, 3)
+    a, d, header, exit_b, tail = _blocks(g, 5)
     x = _load(g, entry)
-    _cond(g, entry, x, (header, 0), (exit_b, 0))
+    _cond(g, entry, _load(g, entry), (a, 0), (d, 0))
+    _cond(g, a, x, (header, 0), (exit_b, 0))
     counter, _ = _counted_loop(g, header, (exit_b, 1), _const(g, header, 3))
     _cond(g, exit_b, counter, (tail, 0), (tail, 1))
+    _jmp(g, d, tail, 2)
     finish_return(g, tail, x)
+    return g
+
+
+def _two_block_body(first_empty=False):
+    """A counted loop after the entry whose body is two blocks, the second
+    entered by the first's Jmp. The first is the body that _counted_loop
+    builds and the second a block holding only a Jmp to the header, or,
+    with first_empty, the first holds only a Jmp to that body, so that
+    bypass_empty_block matches it as well as merge_blocks the second."""
+    g, entry, _ = func_graph()
+    header, exit_b, extra = _blocks(g, 3)
+    _jmp(g, entry, header, 0)
+    finish_return(g, exit_b, _load(g, entry))
+    _, body = _counted_loop(g, header, (exit_b, 0), _const(g, header, 3))
+    jmp = g.add_node(K.JMP, block=extra)
+    if first_empty:
+        (edge,) = g.control_in_edges(body)
+        g.add_edge(extra, edge.dst, edge.kind, edge.position)
+        g.retype_edge(edge, CF)
+    else:
+        back = next(m for m in g.members_of(body) if g.node(m).kind is K.JMP)
+        (edge,) = g.in_edges(back)
+        g.add_edge(extra, back, CF, 0)
+    g.retarget_edge(edge, jmp)
     return g
 
 
@@ -817,12 +846,6 @@ def _m_dead_node_reads_a_counter():
     return g
 
 
-def _m_loop_exit_follows_a_jmp():
-    g, entry, _ = func_graph()
-    _loop_after(g, entry)
-    return g
-
-
 def _m_loop_frees_a_block():
     # E, entered by the True edge of a Cond, holds the loop's bound and the
     # preheader's Jmp; the deleted loop takes the bound with it
@@ -873,10 +896,14 @@ def _m_phi_was_the_last_of_a_join():
 #   loop rule due in the same round or, for redundant, in the round
 #   before, or after assoc, which fires only after fold, the sweep or
 #   simplify in the same round;
-# - loop -> merge and loop -> bypass: the loop rule fires in round 1, or
-#   after fold, fold_cond, the sweep, simplify or unused in the same round
-#   or redundant in the round before, which all make merge and bypass
-#   due, or after phi_op, which fires only after fold_cond or the sweep.
+# - loop -> bypass: the loop rule fires in round 1, or after fold,
+#   fold_cond, the sweep, simplify or unused in the same round or
+#   redundant in the round before, which all make bypass due, or after
+#   phi_op, which fires only after fold_cond or the sweep, or merge, which
+#   fires only after one of the others;
+# - merge -> loop: merge fires in round 1, or after fold, fold_cond, the
+#   sweep, simplify or unused in the same round or redundant in the round
+#   before, which all make the loop rule due, and it runs after merge.
 # Each is still a rewrite that gives its target a match, shown here on a
 # graph where one application of the rule does so.
 MASKED = {
@@ -897,7 +924,7 @@ MASKED = {
     ("phi_op", "loop"): _m_header_phi_reads_a_load_at_a_dead_position,
     ("simplify", "loop"): _m_loop_bound_is_a_trivial_phi,
     ("unused", "loop"): _m_dead_node_reads_a_counter,
-    ("loop", "merge"): _m_loop_exit_follows_a_jmp,
+    ("merge", "loop"): _two_block_body,
     ("loop", "bypass"): _m_loop_frees_a_block,
     ("unused", "bypass"): lambda: _arm(
         lambda g, entry, arm: _op(g, K.ADD, arm, _load(g, entry), _const(g, arm, 2))
